@@ -8,13 +8,20 @@
 //
 // Each benchmark simulates one full instance (scheduling + engine) for the
 // given (policy, n, load) combination on random instances with CCR = 1.
+// Two rows per policy: `<policy>` runs the optimized policy (src/sched/),
+// `<policy>_ref` the frozen reference implementation
+// (tests/reference_policies.hpp), whose cost model is the paper's: Greedy
+// and SRPT re-evaluate every (job, resource) option on every pick, so the
+// reference rows carry the paper's "Greedy degrades sharply with load"
+// shape. Both produce the same schedules (test_policy_equivalence).
 #include <benchmark/benchmark.h>
 
-#include "bench_common.hpp"
-#include <cstdio>
-#include <cstdlib>
+#include <memory>
+#include <string>
 
+#include "bench_common.hpp"
 #include "exp/runner.hpp"
+#include "reference_policies.hpp"
 #include "sched/factory.hpp"
 #include "util/rng.hpp"
 #include "workloads/random_instances.hpp"
@@ -30,18 +37,21 @@ ecs::Instance make_instance(int n, double load, std::uint64_t seed) {
   return make_random_instance(cfg, rng);
 }
 
-void run_policy_bench(benchmark::State& state, const std::string& policy) {
+void run_policy_bench(benchmark::State& state, const std::string& policy,
+                      bool use_ref) {
   const int n = static_cast<int>(state.range(0));
   const double load = static_cast<double>(state.range(1)) / 100.0;
   const ecs::Instance instance = make_instance(n, load, 42);
   double max_stretch = 0.0;
   for (auto _ : state) {
+    const std::unique_ptr<ecs::Policy> scheduler =
+        use_ref ? ecs::ref::make_reference_policy(policy)
+                : ecs::make_policy(policy);
     ecs::RunOptions options;
     options.validate = false;
     const ecs::RunOutcome outcome =
-        ecs::run_policy(instance, policy, options);
+        ecs::run_policy(instance, *scheduler, options);
     max_stretch = outcome.metrics.max_stretch;
-    if (std::getenv("ECS_DEBUG")) std::fprintf(stderr, "DBG policy=%s n=%d load=%f max=%f\n", policy.c_str(), n, load, max_stretch);
     benchmark::DoNotOptimize(max_stretch);
   }
   state.counters["max_stretch"] = max_stretch;
@@ -60,18 +70,20 @@ void args_grid(benchmark::internal::Benchmark* bench) {
 
 }  // namespace
 
-BENCHMARK_CAPTURE(run_policy_bench, edge_only, std::string("edge-only"))
-    ->Apply(args_grid)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(run_policy_bench, greedy, std::string("greedy"))
-    ->Apply(args_grid)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(run_policy_bench, srpt, std::string("srpt"))
-    ->Apply(args_grid)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(run_policy_bench, ssf_edf, std::string("ssf-edf"))
-    ->Apply(args_grid)
-    ->Unit(benchmark::kMillisecond);
+#define ECS_EXEC_TIMES_BENCH(tag, name)                                 \
+  BENCHMARK_CAPTURE(run_policy_bench, tag, std::string(name), false)   \
+      ->Apply(args_grid)                                               \
+      ->Unit(benchmark::kMillisecond);                                 \
+  BENCHMARK_CAPTURE(run_policy_bench, tag##_ref, std::string(name), true) \
+      ->Apply(args_grid)                                               \
+      ->Unit(benchmark::kMillisecond)
+
+ECS_EXEC_TIMES_BENCH(edge_only, "edge-only");
+ECS_EXEC_TIMES_BENCH(greedy, "greedy");
+ECS_EXEC_TIMES_BENCH(srpt, "srpt");
+ECS_EXEC_TIMES_BENCH(ssf_edf, "ssf-edf");
+
+#undef ECS_EXEC_TIMES_BENCH
 
 int main(int argc, char** argv) {
   ecs::bench::apply_log_level_argv(argc, argv);

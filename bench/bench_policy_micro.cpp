@@ -10,6 +10,15 @@
 //    workspace reuse (zero steady-state allocation), the O(live) span
 //    iteration and — for SSF-EDF — the warm-started stretch search.
 //
+//  * policy_decide/<policy>_paper[_ref]/<live> — the same, on the paper
+//    platform (20 clouds, 10 slow + 10 fast edges) at the Fig. 2(b) heavy
+//    point, with most jobs already placed and partially progressed
+//    (tests/paper_scenario.hpp). In the all-unassigned scenario above,
+//    Greedy and SRPT stop picking once the few resources are taken; here
+//    every job is picked (queued ones wait with kTargetKeep), so the pick
+//    loops' cost over the live set shows, and SSF-EDF projects every job
+//    onto 20 clouds per probe.
+//
 //  * policy_sim_sparse/<policy>[_ref]/<n> — ns per decision over a full
 //    simulate() of an n-job sparse-arrival instance whose live set stays
 //    bounded (a few jobs) regardless of n. This is the headline O(live)
@@ -30,6 +39,7 @@
 #include "bench_common.hpp"
 #include "bench_micro_common.hpp"
 
+#include "paper_scenario.hpp"
 #include "reference_policies.hpp"
 #include "sched/factory.hpp"
 #include "sim/engine.hpp"
@@ -82,9 +92,9 @@ struct DirectScenario {
   ecs::Time now = 0.0;
 };
 
-void policy_decide(benchmark::State& state, const char* policy_name,
-                   bool use_ref) {
-  const DirectScenario scenario(static_cast<int>(state.range(0)));
+template <typename Scenario>
+void run_decide(benchmark::State& state, const Scenario& scenario,
+                const char* policy_name, bool use_ref) {
   const ecs::SimView view(scenario.instance, scenario.states, scenario.now,
                           &scenario.live);
   const auto policy = make_any_policy(policy_name, use_ref);
@@ -99,6 +109,16 @@ void policy_decide(benchmark::State& state, const char* policy_name,
   state.SetItemsProcessed(state.iterations());
   state.counters["decisions_per_s"] =
       benchmark::Counter(1.0, benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void policy_decide(benchmark::State& state, const char* policy_name,
+                   bool use_ref, bool paper = false) {
+  const int live = static_cast<int>(state.range(0));
+  if (paper) {
+    run_decide(state, ecs::PaperDecideScenario(live), policy_name, use_ref);
+  } else {
+    run_decide(state, DirectScenario(live), policy_name, use_ref);
+  }
 }
 
 /// Deterministic sparse-activity instance (same shape as the engine
@@ -156,6 +176,20 @@ ECS_POLICY_DECIDE_BENCH(edge_only, "edge-only");
 ECS_POLICY_DECIDE_BENCH(failover_srpt, "failover-srpt");
 
 #undef ECS_POLICY_DECIDE_BENCH
+
+// Heavy-load rows on the paper platform: 270 is paper-heavy's mean live
+// set, 1000 its worst case.
+#define ECS_POLICY_DECIDE_PAPER_BENCH(tag, name)                     \
+  BENCHMARK_CAPTURE(policy_decide, tag##_paper, name, false, true)     \
+      ->Arg(64)->Arg(270)->Arg(1000)->Unit(benchmark::kMicrosecond);   \
+  BENCHMARK_CAPTURE(policy_decide, tag##_paper_ref, name, true, true)  \
+      ->Arg(64)->Arg(270)->Arg(1000)->Unit(benchmark::kMicrosecond)
+
+ECS_POLICY_DECIDE_PAPER_BENCH(greedy, "greedy");
+ECS_POLICY_DECIDE_PAPER_BENCH(srpt, "srpt");
+ECS_POLICY_DECIDE_PAPER_BENCH(ssf_edf, "ssf-edf");
+
+#undef ECS_POLICY_DECIDE_PAPER_BENCH
 
 // The headline O(live) vs O(n) series: SSF-EDF over a growing instance
 // with a bounded live set. The reference re-scans all n states (and cold

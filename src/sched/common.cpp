@@ -2,40 +2,6 @@
 
 namespace ecs {
 
-std::pair<int, Time> best_target_sticky(const Platform& platform,
-                                        const ResourceClock& clock,
-                                        const JobFields& f) {
-  // Candidate order matters: the current allocation is evaluated first and
-  // other targets must be *strictly* better (beyond tolerance) to win.
-  int best_target = kAllocEdge;
-  Time best = kTimeInfinity;
-  const auto consider = [&](int target) {
-    const Time done = clock.project(platform, f, target);
-    if (done < best - kDecisionMargin) {
-      best = done;
-      best_target = target;
-    }
-  };
-  if (f.alloc != kAllocUnassigned) {
-    best_target = f.alloc;
-    best = clock.project(platform, f, f.alloc);
-    if (f.alloc != kAllocEdge) consider(kAllocEdge);
-  } else {
-    consider(kAllocEdge);
-  }
-  for (CloudId k = 0; k < platform.cloud_count(); ++k) {
-    if (k == f.alloc) continue;
-    consider(k);
-  }
-  return {best_target, best};
-}
-
-std::pair<int, Time> best_target_sticky(const Platform& platform,
-                                        const ResourceClock& clock,
-                                        const JobState& state) {
-  return best_target_sticky(platform, clock, fields_of(state));
-}
-
 void list_assign_directives(const SimView& view,
                             const std::vector<OrderedJob>& order,
                             ResourceClock& clock,
@@ -72,11 +38,35 @@ std::vector<Directive> list_assign_directives(
   return directives;
 }
 
+namespace {
+
+bool ordered_before(const OrderedJob& a, const OrderedJob& b) {
+  return a.key != b.key ? a.key < b.key : a.id < b.id;
+}
+
+}  // namespace
+
 void sort_ordered(std::vector<OrderedJob>& order) {
-  std::sort(order.begin(), order.end(),
-            [](const OrderedJob& a, const OrderedJob& b) {
-              return a.key != b.key ? a.key < b.key : a.id < b.id;
-            });
+  std::sort(order.begin(), order.end(), ordered_before);
+}
+
+void resort_ordered(std::vector<OrderedJob>& order) {
+  // (key, id) is a strict total order, so any correct sort — this one or
+  // the fallback, from any starting permutation — yields the same result.
+  std::size_t budget = 4 * order.size();
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const OrderedJob entry = order[i];
+    std::size_t j = i;
+    for (; j > 0 && ordered_before(entry, order[j - 1]); --j) {
+      order[j] = order[j - 1];
+      if (--budget == 0) {
+        order[j - 1] = entry;
+        sort_ordered(order);
+        return;
+      }
+    }
+    order[j] = entry;
+  }
 }
 
 int pick_fresh_cloud(const SimView& view,
@@ -100,6 +90,27 @@ int pick_fresh_cloud(const SimView& view,
     }
   }
   return best >= 0 ? best : fallback;
+}
+
+void uncontended_cloud_classes(const Instance& instance,
+                               std::vector<CloudId>& out) {
+  const Platform& platform = instance.platform;
+  const auto no_outages = [&](CloudId k) {
+    return instance.cloud_outages.empty() ||
+           instance.cloud_outages.at(k).empty();
+  };
+  out.resize(static_cast<std::size_t>(platform.cloud_count()));
+  for (CloudId k = 0; k < platform.cloud_count(); ++k) {
+    out[k] = k;
+    if (!no_outages(k)) continue;
+    for (CloudId j = 0; j < k; ++j) {
+      if (out[j] == j && no_outages(j) &&
+          platform.cloud_speed(j) == platform.cloud_speed(k)) {
+        out[k] = j;
+        break;
+      }
+    }
+  }
 }
 
 bool contains_release(const std::vector<Event>& events) {

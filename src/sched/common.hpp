@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -14,13 +15,17 @@ namespace ecs {
 /// Picks the target minimizing the projected completion of the job against
 /// `clock`, preferring the job's current allocation on ties (so that a
 /// policy that is merely re-confirming its decisions never discards
-/// progress through the re-execution rule). The JobFields overload is
-/// primary (field-view hot path); the JobState form wraps it.
-[[nodiscard]] std::pair<int, Time> best_target_sticky(
-    const Platform& platform, const ResourceClock& clock, const JobFields& f);
-[[nodiscard]] std::pair<int, Time> best_target_sticky(
+/// progress through the re-execution rule). Forwards to the clock's
+/// hoisted cloud-scan kernel, ResourceClock::best_target.
+[[nodiscard]] inline std::pair<int, Time> best_target_sticky(
+    const Platform& platform, const ResourceClock& clock, const JobFields& f) {
+  return clock.best_target(platform, f);
+}
+[[nodiscard]] inline std::pair<int, Time> best_target_sticky(
     const Platform& platform, const ResourceClock& clock,
-    const JobState& state);
+    const JobState& state) {
+  return clock.best_target(platform, state);
+}
 
 /// True when the event batch contains a job release.
 [[nodiscard]] bool contains_release(const std::vector<Event>& events);
@@ -35,12 +40,91 @@ struct OrderedJob {
 /// so decide() and feasibility probes can never disagree on ordering.
 void sort_ordered(std::vector<OrderedJob>& order);
 
+/// Same result as sort_ordered, for an order that was sorted under
+/// slightly different keys (SSF-EDF re-keys one live set per feasibility
+/// probe): an insertion sort, linear when few pairs swapped, that hands
+/// over to sort_ordered once it has moved a few entries per element.
+void resort_ordered(std::vector<OrderedJob>& order);
+
 /// Fastest cloud still marked free in `cloud_free`, preferring clouds
 /// available right now; clouds inside an availability outage serve only as
 /// a fallback when nothing else is free. Returns -1 when no cloud is free.
 /// Shared by the Greedy and SRPT pick loops.
 [[nodiscard]] int pick_fresh_cloud(const SimView& view,
                                    const std::vector<char>& cloud_free);
+
+/// Groups the clouds on which every job's uncontended estimate is the same:
+/// `out[k]` is the lowest cloud id with k's speed, provided neither cloud
+/// has announced outages (the estimate depends on the cloud only through
+/// its speed and its outage windows); a cloud with outages is its own
+/// class. On the paper platform every cloud falls in class 0.
+void uncontended_cloud_classes(const Instance& instance,
+                               std::vector<CloudId>& out);
+
+/// One live job's row in the option table of a Greedy/SRPT pick loop. The
+/// loop repeats a best-pick over (job, resource) until resources run out,
+/// but each option's value — an uncontended completion, or the stretch
+/// derived from it — is a pure function of (job, target, now), so it is
+/// evaluated once per decide() and the picks only combine cached doubles
+/// with the current free flags.
+///
+/// Those flags (and with them the fresh cloud) change only when a pick
+/// claims a resource, at most edge_count + cloud_count times per decide().
+/// The pick loops therefore combine the rows' options with the flags into
+/// a candidate list once per claim and let the picks in between — jobs
+/// waiting for their own resource with kTargetKeep — scan that list.
+/// Candidates stay in live order and a picked one is overwritten with a
+/// value that never wins, so every scan visits the candidates in the same
+/// order as a loop that erases them.
+struct PickOption {
+  JobId id = -1;
+  EdgeId origin = 0;
+  int alloc = kAllocUnassigned;
+  CloudId fresh_class = -1;  ///< class `fresh` was evaluated on; -1 = none
+  double best_time = 0.0;
+  double keep = 0.0;   ///< on the current allocation (also kTargetKeep)
+  double edge = 0.0;   ///< restarting on the origin edge
+  double fresh = 0.0;  ///< restarting on a cloud of `fresh_class`
+  bool picked = false;
+};
+
+/// Fills `options` with one row per live job, in live order, evaluating
+/// the keep option (assigned jobs) and the edge option (jobs not already
+/// on the edge) with `value(fields, target)`. No allocation once warm.
+template <typename ValueFn>
+void gather_pick_options(const SimView& view, std::vector<PickOption>& options,
+                         ValueFn&& value) {
+  const std::span<const JobId> live = view.live_jobs();
+  options.resize(live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const JobFields f = view.fields(live[i]);
+    PickOption& o = options[i];
+    o.id = live[i];
+    o.origin = f.job->origin;
+    o.alloc = f.alloc;
+    o.fresh_class = -1;
+    o.best_time = f.best_time;
+    o.keep = f.alloc != kAllocUnassigned ? value(f, f.alloc) : kTimeInfinity;
+    o.edge = f.alloc != kAllocEdge ? value(f, kAllocEdge) : kTimeInfinity;
+    o.picked = false;
+  }
+}
+
+/// The row's value on the fresh cloud `fresh`, of class `fresh_class`
+/// (uncontended_cloud_classes). Keyed by the class: it is re-evaluated
+/// only when pick_fresh_cloud has moved to a cloud of another class, which
+/// happens at most cloud_count times per decide() — and never on a
+/// platform of identical, outage-free clouds.
+template <typename ValueFn>
+[[nodiscard]] double fresh_option(const SimView& view, PickOption& o,
+                                  CloudId fresh, CloudId fresh_class,
+                                  ValueFn&& value) {
+  if (o.fresh_class != fresh_class) {
+    o.fresh = value(view.fields(o.id), fresh);
+    o.fresh_class = fresh_class;
+  }
+  return o.fresh;
+}
 
 /// Exponential doubling followed by bisection for the smallest stretch
 /// accepted by `feasible`, starting from the lower bound `lo`, to relative

@@ -15,7 +15,8 @@ constexpr double kSwitchMargin = 0.10;
 }  // namespace
 
 void GreedyPolicy::reset(const Instance& instance) {
-  (void)instance;
+  uncontended_cloud_classes(instance, cloud_class_);
+  options_.clear();
   candidates_.clear();
   edge_free_.clear();
   cloud_free_.clear();
@@ -28,42 +29,38 @@ void GreedyPolicy::decide(const SimView& view,
   const Platform& platform = view.platform();
   const Time now = view.now();
 
-  const std::span<const JobId> live = view.live_jobs();
-  std::vector<JobId>& candidates = candidates_;
-  candidates.assign(live.begin(), live.end());
+  if (cloud_class_.size() !=
+      static_cast<std::size_t>(platform.cloud_count())) {
+    uncontended_cloud_classes(view.instance(), cloud_class_);
+  }
+  // The minimum stretch a job achieves on a target, starting right now
+  // (uncontended estimate), cached per (job, target) in the option table.
+  const auto stretch_on = [&](const JobFields& f, int target) {
+    return stretch_of(platform, *f.job,
+                      uncontended_completion(view.instance(), f, target, now));
+  };
+  std::vector<PickOption>& options = options_;
+  gather_pick_options(view, options, stretch_on);
+  const std::size_t rows = options.size();
+  std::vector<Candidate>& candidates = candidates_;
   std::vector<char>& edge_free = edge_free_;
   std::vector<char>& cloud_free = cloud_free_;
   edge_free.assign(static_cast<std::size_t>(platform.edge_count()), 1);
   cloud_free.assign(static_cast<std::size_t>(platform.cloud_count()), 1);
 
-  std::vector<Directive>& directives = out;
-  directives.reserve(directives.size() + candidates.size());
-  double priority = 0.0;
-
-
-  while (!candidates.empty()) {
-    // For each unselected job: the minimum stretch achievable on a still
-    // available resource, starting right now.
-    double best_value = -1.0;  // max over jobs of min-stretch
-    double best_tiebreak = std::numeric_limits<double>::infinity();
-    std::size_t best_pos = candidates.size();
-    int best_resource = kAllocUnassigned;
-    ReasonCode best_reason = ReasonCode::kGreedyBestStretch;
-    const int fresh = pick_fresh_cloud(view, cloud_free);
-
-    for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-      const JobFields s = view.fields(candidates[pos]);
+  // For each unpicked job: the minimum stretch achievable on a still
+  // available resource, starting right now, and where. Jobs that cannot
+  // be placed are left out.
+  int fresh = pick_fresh_cloud(view, cloud_free);
+  const auto rescore = [&] {
+    candidates.clear();
+    for (std::size_t r = 0; r < rows; ++r) {
+      PickOption& o = options[r];
+      if (o.picked) continue;
       double min_stretch = std::numeric_limits<double>::infinity();
       int argmin = kAllocUnassigned;
       double keep_stretch = std::numeric_limits<double>::infinity();
-      const auto stretch_on = [&](int target) {
-        const Time done = uncontended_completion(
-            view.instance(), s, target == kTargetKeep ? s.alloc : target,
-            now);
-        return stretch_of(platform, *s.job, done);
-      };
-      const auto consider = [&](int target) {
-        const double stretch = stretch_on(target);
+      const auto consider = [&](int target, double stretch) {
         if (stretch < min_stretch - kDecisionMargin) {
           min_stretch = stretch;
           argmin = target;
@@ -73,19 +70,22 @@ void GreedyPolicy::decide(const SimView& view,
       // baseline; when that resource was claimed by an earlier pick,
       // waiting for it (kTargetKeep) remains an option.
       int keep_target = kAllocUnassigned;
-      if (s.alloc != kAllocUnassigned) {
-        const bool own_free =
-            s.alloc == kAllocEdge ? edge_free[s.job->origin] != 0
-                                  : cloud_free[s.alloc] != 0;
-        keep_target = own_free ? s.alloc : kTargetKeep;
-        keep_stretch = stretch_on(keep_target);
+      if (o.alloc != kAllocUnassigned) {
+        const bool own_free = o.alloc == kAllocEdge
+                                  ? edge_free[o.origin] != 0
+                                  : cloud_free[o.alloc] != 0;
+        keep_target = own_free ? o.alloc : kTargetKeep;
+        keep_stretch = o.keep;
         min_stretch = keep_stretch;
         argmin = keep_target;
       }
-      if (edge_free[s.job->origin] && s.alloc != kAllocEdge) {
-        consider(kAllocEdge);
+      if (edge_free[o.origin] && o.alloc != kAllocEdge) {
+        consider(kAllocEdge, o.edge);
       }
-      if (fresh >= 0 && fresh != s.alloc) consider(fresh);
+      if (fresh >= 0 && fresh != o.alloc) {
+        consider(fresh, fresh_option(view, o, fresh, cloud_class_[fresh],
+                                     stretch_on));
+      }
       if (argmin == kAllocUnassigned) continue;  // nothing available for it
       // Moving away from the current allocation discards progress; demand
       // a real improvement, not a near-tie (see kSwitchMargin).
@@ -99,33 +99,51 @@ void GreedyPolicy::decide(const SimView& view,
       if (argmin == kTargetKeep) {
         reason = ReasonCode::kGreedyWaitForOwnResource;
       }
-      // Select the job with the highest achievable min-stretch; on ties,
-      // the job with the smallest best-case time — short jobs are the most
-      // stretch-sensitive, so delaying them is costlier.
-      const bool wins =
-          min_stretch > best_value + kDecisionMargin ||
-          (min_stretch > best_value - kDecisionMargin &&
-           s.best_time < best_tiebreak);
-      if (wins) {
-        best_value = min_stretch;
-        best_tiebreak = s.best_time;
-        best_pos = pos;
-        best_resource = argmin;
-        best_reason = reason;
+      candidates.push_back(Candidate{min_stretch, o.best_time,
+                                     static_cast<std::uint32_t>(r), argmin,
+                                     reason});
+    }
+  };
+  rescore();
+
+  std::vector<Directive>& directives = out;
+  directives.reserve(directives.size() + rows);
+  double priority = 0.0;
+  for (;;) {
+    // Select the job with the highest achievable min-stretch; on ties,
+    // the job with the smallest best-case time — short jobs are the most
+    // stretch-sensitive, so delaying them is costlier.
+    // (A picked candidate stays in place with a stretch that never wins.)
+    double best_value = -1.0;  // max over jobs of min-stretch
+    double best_tiebreak = std::numeric_limits<double>::infinity();
+    std::size_t best = candidates.size();
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const Candidate& c = candidates[i];
+      if (c.stretch > best_value - kDecisionMargin &&
+          (c.stretch > best_value + kDecisionMargin ||
+           c.best_time < best_tiebreak)) [[unlikely]] {
+        best_value = c.stretch;
+        best_tiebreak = c.best_time;
+        best = i;
       }
     }
+    if (best == candidates.size()) break;  // no job can be placed
 
-    if (best_pos == candidates.size()) break;  // no job can be placed
-    const JobId chosen = candidates[best_pos];
-    directives.push_back(
-        Directive{chosen, best_resource, priority, best_reason});
+    Candidate& pick = candidates[best];
+    PickOption& chosen = options[pick.row];
+    const int target = pick.target;
+    directives.push_back(Directive{chosen.id, target, priority, pick.reason});
     priority += 1.0;
-    if (best_resource == kAllocEdge) {
-      edge_free[view.fields(chosen).job->origin] = 0;
-    } else if (best_resource != kTargetKeep) {
-      cloud_free[best_resource] = 0;
+    chosen.picked = true;
+    pick.stretch = -std::numeric_limits<double>::infinity();
+    if (target == kAllocEdge) {
+      edge_free[chosen.origin] = 0;
+      rescore();
+    } else if (target != kTargetKeep) {
+      cloud_free[target] = 0;
+      fresh = pick_fresh_cloud(view, cloud_free);
+      rescore();
     }
-    candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(best_pos));
   }
 }
 

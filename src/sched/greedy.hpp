@@ -10,6 +10,7 @@
 // wait), so no progress is discarded by merely not being picked.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sched/common.hpp"
@@ -27,7 +28,18 @@ class GreedyPolicy final : public Policy {
 
  private:
   // Workspace, reused across decide() calls (zero steady-state allocation).
-  std::vector<JobId> candidates_;
+  /// An unpicked, placeable job under the current free flags: its minimum
+  /// achievable stretch, where, and why.
+  struct Candidate {
+    double stretch = 0.0;
+    double best_time = 0.0;  ///< tie-break
+    std::uint32_t row = 0;   ///< into options_
+    int target = kAllocUnassigned;
+    ReasonCode reason = ReasonCode::kGreedyBestStretch;
+  };
+  std::vector<PickOption> options_;     ///< one row per live job
+  std::vector<Candidate> candidates_;  ///< rebuilt per claim, live order
+  std::vector<CloudId> cloud_class_;  ///< uncontended_cloud_classes()
   std::vector<char> edge_free_;
   std::vector<char> cloud_free_;
 };

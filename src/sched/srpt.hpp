@@ -10,6 +10,7 @@
 // rule.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sched/common.hpp"
@@ -40,7 +41,15 @@ class SrptPolicy final : public Policy {
  private:
   SrptConfig config_;
   // Workspace, reused across decide() calls (zero steady-state allocation).
-  std::vector<JobId> candidates_;
+  /// One available (job, processor) pair under the current free flags.
+  struct Candidate {
+    Time done = 0.0;        ///< uncontended completion
+    std::uint32_t row = 0;  ///< into options_
+    int target = kAllocUnassigned;
+  };
+  std::vector<PickOption> options_;     ///< one row per live job
+  std::vector<Candidate> candidates_;  ///< rebuilt per claim, live order
+  std::vector<CloudId> cloud_class_;  ///< uncontended_cloud_classes()
   std::vector<char> edge_free_;
   std::vector<char> cloud_free_;
 };

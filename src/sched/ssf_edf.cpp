@@ -4,6 +4,14 @@
 #include <cmath>
 
 namespace ecs {
+namespace {
+
+/// A job's deadline under target stretch `stretch`.
+Time deadline_of(const JobFields& s, double stretch) {
+  return s.job->release + stretch * s.best_time;
+}
+
+}  // namespace
 
 void SsfEdfPolicy::reset(const Instance& instance) {
   deadlines_.assign(instance.jobs.size(), kTimeInfinity);
@@ -18,16 +26,15 @@ bool SsfEdfPolicy::feasible(const SimView& view, double stretch,
   const Platform& platform = view.platform();
 
   // Deadlines for this candidate stretch. The EDF order depends on the
-  // candidate (denominators differ between jobs), so the reused entry
-  // buffer is re-keyed and re-sorted for every probe — with the same
-  // (key, id) tie-break as decide().
-  entries_.clear();
-  for (const JobId id : view.live_jobs()) {
-    const JobFields s = view.fields(id);
-    entries_.push_back(
-        OrderedJob{s.job->id, s.job->release + stretch * s.best_time});
+  // candidate (denominators differ between jobs), so the entries are
+  // re-keyed and re-sorted for every probe — with the same (key, id)
+  // tie-break as decide(). They hold the live set recompute_deadlines()
+  // listed, in the previous probe's order: once the search narrows,
+  // consecutive probes swap few pairs.
+  for (OrderedJob& e : entries_) {
+    e.key = deadline_of(view.fields(e.id), stretch);
   }
-  sort_ordered(entries_);
+  resort_ordered(entries_);
 
   clock_.reset(view.now());
   bool ok = true;
@@ -61,30 +68,43 @@ void SsfEdfPolicy::recompute_deadlines(const SimView& view) {
   }
 
   // Lower bound: no schedule can beat each job's individually best
-  // achievable stretch from the current state (and 1.0 overall).
+  // achievable stretch from the current state (and 1.0 overall). The same
+  // pass lists the live jobs for the probes to re-key and re-sort.
   double lo = 1.0;
-  bool any_live = false;
+  entries_.clear();
   for (const JobId id : view.live_jobs()) {
     const JobFields s = view.fields(id);
-    any_live = true;
     const Time best_done = best_uncontended_completion(platform, s, now);
     lo = std::max(lo, (best_done - s.job->release) / s.best_time);
+    entries_.push_back(OrderedJob{id, 0.0});
   }
-  if (!any_live) return;
+  if (entries_.empty()) return;
 
   // Warm start: consecutive releases see mostly the same live set, so the
   // previous round's target stretch predicts this round's feasibility rung
   // almost exactly; min_feasible_stretch_warm verifies the prediction and
   // returns the same value the cold search would, with a fraction of the
   // probes. The cold path (hint <= 0) covers the first release.
+  double accepted = -1.0;  // the last stretch a probe found feasible
   const double best_feasible = min_feasible_stretch_warm(
       lo, config_.epsilon, config_.max_iterations, last_target_stretch_,
-      [&](double s) { return feasible(view, s, nullptr); });
+      [&](double s) {
+        const bool ok = feasible(view, s, nullptr);
+        if (ok) accepted = s;
+        return ok;
+      });
 
   const double target = config_.alpha * best_feasible;
   last_target_stretch_ = target;
-  // Locking in the deadlines: the final feasibility pass writes them.
-  if (!feasible(view, target, &deadlines_)) {
+  // Locking in the deadlines. When the target is the stretch the search
+  // last accepted (alpha = 1 and a verified result, the usual case), its
+  // feasibility pass is known to succeed and would only write the keys;
+  // otherwise a final pass decides and writes them.
+  if (target == accepted) {
+    for (const OrderedJob& e : entries_) {
+      deadlines_[view.slot(e.id)] = deadline_of(view.fields(e.id), target);
+    }
+  } else if (!feasible(view, target, &deadlines_)) {
     // alpha < 1 can make the scaled target infeasible; fall back to the
     // verified stretch.
     (void)feasible(view, best_feasible, &deadlines_);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace ecs {
@@ -131,16 +132,8 @@ ResourceClock::ResourceClock(const Instance& instance, Time now) {
 void ResourceClock::bind(const Platform& platform, Time now) {
   const auto edges = static_cast<std::size_t>(platform.edge_count());
   const auto clouds = static_cast<std::size_t>(platform.cloud_count());
-  const auto size_lane = [](Lane& lane, std::size_t n) {
-    lane.time.assign(n, 0.0);
-    lane.epoch.assign(n, 0);
-  };
-  size_lane(edge_cpu_, edges);
-  size_lane(edge_send_, edges);
-  size_lane(edge_recv_, edges);
-  size_lane(cloud_cpu_, clouds);
-  size_lane(cloud_send_, clouds);
-  size_lane(cloud_recv_, clouds);
+  edges_.assign(edges, Slot{});
+  clouds_.assign(clouds, Slot{});
   outages_ = nullptr;
   epoch_ = 0;
   reset(now);
@@ -158,9 +151,8 @@ void ResourceClock::reset(Time now) noexcept {
   if (++epoch_ == 0) {
     // Epoch wrap: stale tags from 2^32 resets ago could read as current.
     // Wipe them (rare: once per 4 billion resets) and restart at 1.
-    for (Lane* lane : {&edge_cpu_, &edge_send_, &edge_recv_, &cloud_cpu_,
-                       &cloud_send_, &cloud_recv_}) {
-      std::fill(lane->epoch.begin(), lane->epoch.end(), 0U);
+    for (std::vector<Slot>* slots : {&edges_, &clouds_}) {
+      for (Slot& slot : *slots) slot.epoch = 0;
     }
     epoch_ = 1;
   }
@@ -171,29 +163,27 @@ ResourceClock::Projection ResourceClock::project_detail(
   const RemainingAmounts rem = remaining_on(f, target);
   const auto o = static_cast<std::size_t>(f.job->origin);
   Projection p{};
+  const Slot edge = rd(edges_, o);
   if (target == kAllocEdge) {
-    p.up_end = rd(edge_cpu_, o);
-    p.exec_end =
-        rd(edge_cpu_, o) + rem.work / platform.edge_speed(f.job->origin);
+    p.up_end = edge.cpu;
+    p.exec_end = edge.cpu + rem.work / platform.edge_speed(f.job->origin);
     p.done = p.exec_end;
     return p;
   }
   const CloudId k = target;
-  const auto kc = static_cast<std::size_t>(k);
+  const Slot cloud = rd(clouds_, static_cast<std::size_t>(k));
   const IntervalSet* outages = outages_of(k);
   // An already-uploaded job (rem.up == 0) has no uplink leg: it must not
   // inherit delays from other jobs' committed uplinks on the same ports
   // (commit() guards the port clocks the same way).
-  const Time cursor = rem.up > 0.0
-                          ? std::max(rd(edge_send_, o), rd(cloud_recv_, kc))
-                          : now_;
+  const Time cursor =
+      rem.up > 0.0 ? std::max(edge.send, cloud.recv) : now_;
   p.up_end = advance_through_outages(outages, cursor, rem.up);
   p.exec_end =
-      advance_through_outages(outages, std::max(p.up_end, rd(cloud_cpu_, kc)),
+      advance_through_outages(outages, std::max(p.up_end, cloud.cpu),
                               rem.work / platform.cloud_speed(k));
   if (rem.down > 0.0) {
-    const Time dn_start =
-        std::max({p.exec_end, rd(cloud_send_, kc), rd(edge_recv_, o)});
+    const Time dn_start = std::max({p.exec_end, cloud.send, edge.recv});
     p.done = advance_through_outages(outages, dn_start, rem.down);
   } else {
     p.done = p.exec_end;
@@ -216,19 +206,19 @@ Time ResourceClock::commit(const Platform& platform, const JobFields& f,
   const Projection p = project_detail(platform, f, target);
   const auto o = static_cast<std::size_t>(f.job->origin);
   if (target == kAllocEdge) {
-    wr(edge_cpu_, o, p.exec_end);
+    wr(edges_, o).cpu = p.exec_end;
     return p.done;
   }
   const auto kc = static_cast<std::size_t>(target);
   const RemainingAmounts rem = remaining_on(f, target);
   if (rem.up > 0.0) {
-    wr(edge_send_, o, p.up_end);
-    wr(cloud_recv_, kc, p.up_end);
+    wr(edges_, o).send = p.up_end;
+    wr(clouds_, kc).recv = p.up_end;
   }
-  wr(cloud_cpu_, kc, p.exec_end);
+  wr(clouds_, kc).cpu = p.exec_end;
   if (rem.down > 0.0) {
-    wr(cloud_send_, kc, p.done);
-    wr(edge_recv_, o, p.done);
+    wr(clouds_, kc).send = p.done;
+    wr(edges_, o).recv = p.done;
   }
   return p.done;
 }
@@ -241,24 +231,24 @@ Time ResourceClock::commit(const Platform& platform, const JobState& state,
 bool ResourceClock::starts_now(const Platform& /*platform*/, const JobFields& f,
                                int target, Time now) const {
   const RemainingAmounts rem = remaining_on(f, target);
-  const auto o = static_cast<std::size_t>(f.job->origin);
+  const Slot edge = rd(edges_, static_cast<std::size_t>(f.job->origin));
   if (target == kAllocEdge) {
-    return time_le(rd(edge_cpu_, o), now);
+    return time_le(edge.cpu, now);
   }
   const CloudId k = target;
-  const auto kc = static_cast<std::size_t>(k);
+  const Slot cloud = rd(clouds_, static_cast<std::size_t>(k));
   // Nothing starts on a cloud inside one of its availability outages.
   if (const IntervalSet* outages = outages_of(k);
       outages != nullptr && outages->contains(now)) {
     return false;
   }
   if (rem.up > 0.0) {
-    return time_le(rd(edge_send_, o), now) && time_le(rd(cloud_recv_, kc), now);
+    return time_le(edge.send, now) && time_le(cloud.recv, now);
   }
   if (rem.work > 0.0) {
-    return time_le(rd(cloud_cpu_, kc), now);
+    return time_le(cloud.cpu, now);
   }
-  return time_le(rd(cloud_send_, kc), now) && time_le(rd(edge_recv_, o), now);
+  return time_le(cloud.send, now) && time_le(edge.recv, now);
 }
 
 bool ResourceClock::starts_now(const Platform& platform, const JobState& state,
@@ -269,13 +259,70 @@ bool ResourceClock::starts_now(const Platform& platform, const JobState& state,
 std::pair<int, Time> ResourceClock::best_target(const Platform& platform,
                                                 const JobFields& f) const {
   int best_target_id = kAllocEdge;
-  Time best = project(platform, f, kAllocEdge);
-  for (CloudId k = 0; k < platform.cloud_count(); ++k) {
-    const Time done = project(platform, f, k);
+  Time best = kTimeInfinity;
+  const auto consider = [&](int target, Time done) {
     if (done < best - kDecisionMargin) {
       best = done;
-      best_target_id = k;
+      best_target_id = target;
     }
+  };
+  if (f.alloc != kAllocUnassigned) {
+    best_target_id = f.alloc;
+    best = project(platform, f, f.alloc);
+    if (f.alloc != kAllocEdge) {
+      consider(kAllocEdge, project(platform, f, kAllocEdge));
+    }
+  } else {
+    consider(kAllocEdge, project(platform, f, kAllocEdge));
+  }
+
+  // Cloud scan. Every k != alloc is a fresh start (remaining_on's
+  // re-execution branch: the full amounts), so the per-job invariants are
+  // hoisted and the body is project_detail's cloud branch, expression for
+  // expression, with advance_through_outages' first two branches inlined
+  // for outage-free clouds. Consecutive clouds of equal speed share the
+  // (identical) execution time instead of dividing again. The one loop is
+  // instantiated twice: with the outage lookup, and with a constant
+  // "no outages" that leaves it free of calls.
+  const double up = f.job->up;
+  const double work = f.job->work;
+  const double down = f.job->down;
+  const Slot edge = rd(edges_, static_cast<std::size_t>(f.job->origin));
+  const double* speed = platform.cloud_speeds().data();
+  const CloudId clouds = platform.cloud_count();
+  const auto scan = [&](auto outages_of_cloud) {
+    const auto leg = [](const IntervalSet* outages, Time start,
+                        double duration) {
+      if (outages == nullptr) {
+        return duration <= 0.0 ? start : start + duration;
+      }
+      return advance_through_outages(outages, start, duration);
+    };
+    double exec_speed = std::numeric_limits<double>::quiet_NaN();
+    double exec = 0.0;  // work / exec_speed
+    for (CloudId k = 0; k < clouds; ++k) {
+      if (k == f.alloc) continue;
+      const Slot cloud = rd(clouds_, static_cast<std::size_t>(k));
+      const IntervalSet* outages = outages_of_cloud(k);
+      if (speed[k] != exec_speed) {
+        exec_speed = speed[k];
+        exec = work / exec_speed;
+      }
+      const Time cursor = up > 0.0 ? std::max(edge.send, cloud.recv) : now_;
+      const Time up_end = leg(outages, cursor, up);
+      const Time exec_end = leg(outages, std::max(up_end, cloud.cpu), exec);
+      Time done = exec_end;
+      if (down > 0.0) {
+        done =
+            leg(outages, std::max({exec_end, cloud.send, edge.recv}), down);
+      }
+      consider(k, done);
+    }
+  };
+  if (outages_ == nullptr || outages_->empty()) {
+    scan([](CloudId) -> const IntervalSet* { return nullptr; });
+  } else {
+    scan([this](CloudId k) { return outages_of(k); });
   }
   return {best_target_id, best};
 }

@@ -68,9 +68,11 @@ namespace ecs {
 ///
 /// The clock is reusable: policies bind() it once per simulation (sizing
 /// the per-resource arrays, capturing the outage windows) and then reset()
-/// it at every projection pass. reset() is O(1) — each per-resource entry
-/// is epoch-tagged, an entry whose tag predates the current epoch reads as
-/// `now` (i.e. free), and commit() re-tags exactly the entries it writes.
+/// it at every projection pass. reset() is O(1) — each processor's slot
+/// (its CPU and its two port directions) is epoch-tagged, a slot whose tag
+/// predates the current epoch reads as `now` (i.e. all free), and commit()
+/// re-tags exactly the slots it writes, seeding their untouched entries
+/// with `now`.
 /// A freshly reset() clock is therefore indistinguishable from a newly
 /// constructed one, with no per-resource refill and no allocation.
 class ResourceClock {
@@ -114,17 +116,29 @@ class ResourceClock {
   Time commit(const Platform& platform, const JobState& state, int target);
 
   /// Target (kAllocEdge or cloud id) minimizing the projected completion,
-  /// together with that completion time.
+  /// together with that completion time. Sticky: the job's current
+  /// allocation is evaluated first, then the edge, then every other cloud
+  /// in id order, and a later candidate wins only when it completes
+  /// earlier by more than kDecisionMargin — so a policy merely
+  /// re-confirming its decisions never discards progress through the
+  /// re-execution rule. For an unassigned job this is the plain argmin
+  /// (edge first, clouds in id order).
+  ///
+  /// The cloud scan is one hoisted loop: every cloud other than the
+  /// current allocation restarts the job from scratch, so the full
+  /// amounts, the origin's send/receive times and the speed array are
+  /// read once, and each cloud evaluates the same expressions, in the same
+  /// order, as project() — bit-identical completions.
   [[nodiscard]] std::pair<int, Time> best_target(const Platform& platform,
                                                  const JobFields& f) const;
   [[nodiscard]] std::pair<int, Time> best_target(const Platform& platform,
                                                  const JobState& state) const;
 
   [[nodiscard]] Time edge_cpu(EdgeId j) const {
-    return rd(edge_cpu_, static_cast<std::size_t>(j));
+    return rd(edges_, static_cast<std::size_t>(j)).cpu;
   }
   [[nodiscard]] Time cloud_cpu(CloudId k) const {
-    return rd(cloud_cpu_, static_cast<std::size_t>(k));
+    return rd(clouds_, static_cast<std::size_t>(k)).cpu;
   }
 
   /// True when the job's *next* activity on `target` could begin
@@ -144,20 +158,28 @@ class ResourceClock {
     Time exec_end;
     Time done;
   };
-  /// One per-resource lane: next-free times plus the epoch each entry was
-  /// written in. A stale epoch means "never touched since reset" = free.
-  struct Lane {
-    std::vector<Time> time;
-    std::vector<std::uint32_t> epoch;
+  /// One processor's next-free times — its CPU, its send (outgoing) port
+  /// and its receive (incoming) port — plus the epoch they were written
+  /// in. A stale epoch means "never touched since reset" = all free.
+  struct Slot {
+    Time cpu = 0.0;
+    Time send = 0.0;
+    Time recv = 0.0;
+    std::uint32_t epoch = 0;
   };
   // Unchecked indexing: these sit in the innermost projection loops and
   // every caller derives `i` from a validated target / platform bound.
-  [[nodiscard]] Time rd(const Lane& lane, std::size_t i) const {
-    return lane.epoch[i] == epoch_ ? lane.time[i] : now_;
+  [[nodiscard]] Slot rd(const std::vector<Slot>& slots, std::size_t i) const {
+    const Slot& s = slots[i];
+    const bool current = s.epoch == epoch_;
+    return Slot{current ? s.cpu : now_, current ? s.send : now_,
+                current ? s.recv : now_, epoch_};
   }
-  void wr(Lane& lane, std::size_t i, Time t) {
-    lane.time[i] = t;
-    lane.epoch[i] = epoch_;
+  /// The slot, re-tagged for writing: a stale slot first reads as free.
+  Slot& wr(std::vector<Slot>& slots, std::size_t i) {
+    Slot& s = slots[i];
+    if (s.epoch != epoch_) s = Slot{now_, now_, now_, epoch_};
+    return s;
   }
   [[nodiscard]] Projection project_detail(const Platform& platform,
                                           const JobFields& f,
@@ -167,12 +189,8 @@ class ResourceClock {
                                                     : &outages_->at(k);
   }
 
-  Lane edge_cpu_;
-  Lane edge_send_;
-  Lane edge_recv_;
-  Lane cloud_cpu_;
-  Lane cloud_send_;
-  Lane cloud_recv_;
+  std::vector<Slot> edges_;
+  std::vector<Slot> clouds_;
   const std::vector<IntervalSet>* outages_ = nullptr;
   Time now_ = 0.0;
   std::uint32_t epoch_ = 0;  ///< 0 = unbound; bind() starts at 1

@@ -72,6 +72,38 @@ inline double min_feasible_stretch(
   return best;
 }
 
+/// Pre-rewrite sticky target choice: one generic project() per candidate
+/// (current allocation first, then the edge, then every other cloud). The
+/// optimized ResourceClock::best_target hoists this scan into one kernel;
+/// keeping the original here means the kernel is compared against the
+/// generic projection, not against itself.
+inline std::pair<int, Time> frozen_best_target_sticky(
+    const Platform& platform, const ResourceClock& clock,
+    const JobState& state) {
+  const JobFields f = fields_of(state);
+  int best_target = kAllocEdge;
+  Time best = kTimeInfinity;
+  const auto consider = [&](int target) {
+    const Time done = clock.project(platform, f, target);
+    if (done < best - kDecisionMargin) {
+      best = done;
+      best_target = target;
+    }
+  };
+  if (f.alloc != kAllocUnassigned) {
+    best_target = f.alloc;
+    best = clock.project(platform, f, f.alloc);
+    if (f.alloc != kAllocEdge) consider(kAllocEdge);
+  } else {
+    consider(kAllocEdge);
+  }
+  for (CloudId k = 0; k < platform.cloud_count(); ++k) {
+    if (k == f.alloc) continue;
+    consider(k);
+  }
+  return {best_target, best};
+}
+
 /// Pre-rewrite list assignment: constructs a fresh ResourceClock (full
 /// lane allocation) per call and returns a fresh directive vector. Kept
 /// here because the optimized src/sched variant reuses a bound clock.
@@ -85,7 +117,7 @@ inline std::vector<Directive> list_assign_directives(
   double priority = 0.0;
   for (const OrderedJob& entry : order) {
     const JobState& s = view.state(entry.id);
-    const auto [target, done] = best_target_sticky(platform, clock, s);
+    const auto [target, done] = frozen_best_target_sticky(platform, clock, s);
     (void)done;
     const bool immediate = clock.starts_now(platform, s, target, now);
     clock.commit(platform, s, target);
@@ -324,7 +356,7 @@ class SsfEdfPolicy final : public Policy {
     bool ok = true;
     for (const OrderedJob& e : entries) {
       const JobState& s = view.state(e.id);
-      const auto [target, done] = best_target_sticky(platform, clock, s);
+      const auto [target, done] = frozen_best_target_sticky(platform, clock, s);
       clock.commit(platform, s, target);
       if (time_gt(done, e.key)) {
         ok = false;

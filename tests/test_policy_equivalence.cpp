@@ -3,13 +3,15 @@
 // Two guarantees pinned here, with no tolerance to hide behind:
 //
 //  1. Bit-identical schedules: for random instances (with outages and
-//     unannounced faults), every factory policy must produce EXACTLY the
-//     same run as its frozen pre-rewrite reference implementation
-//     (tests/reference_policies.hpp) — completion times equal to the bit,
-//     stats (including reassignment counts) equal field by field, interval
-//     histories and fault logs identical. The workspace reuse, the
-//     live-span iteration and the warm-started stretch search are pure
-//     optimizations; any behavioral drift fails this suite exactly.
+//     unannounced faults, and at heavy load on the paper platform), every
+//     factory policy must produce EXACTLY the same run as its frozen
+//     pre-rewrite reference implementation (tests/reference_policies.hpp)
+//     — completion times equal to the bit, stats (including reassignment
+//     counts) equal field by field, interval histories and fault logs
+//     identical. The workspace reuse, the live-span iteration, the
+//     warm-started stretch search, the cached pick options and the hoisted
+//     cloud scan are pure optimizations; any behavioral drift fails this
+//     suite exactly.
 //
 //  2. Zero steady-state allocations: after a warm-up call, decide() on an
 //     unchanged live set performs no heap allocation at all, for every
@@ -24,6 +26,7 @@
 #include <tuple>
 #include <vector>
 
+#include "paper_scenario.hpp"
 #include "reference_policies.hpp"
 #include "sched/factory.hpp"
 #include "sim/engine.hpp"
@@ -253,6 +256,120 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name + "_seed" + std::to_string(std::get<1>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// Heavy load on the paper platform (20 clouds, 10 slow + 10 fast edges,
+// CCR 1, load 2). The workloads above keep the live set small on 3 clouds,
+// so Greedy and SRPT never exhaust the fresh cloud over a large live set
+// and SSF-EDF's cloud scan stays short. Here the live set peaks above 250:
+// the pick loops go through every claim with their cached option tables,
+// and the scan covers 20 clouds per job and probe. Seed 1 adds announced
+// cloud outages, which take the scan's outage-aware instance; seed 2 mixes
+// cloud speeds, so the fresh cloud moves between speed classes and the
+// scan divides by more than one speed.
+
+Workload make_paper_heavy_workload(int seed) {
+  Workload w;
+  RandomInstanceConfig cfg;  // the paper platform
+  cfg.n = 400;
+  cfg.ccr = 1.0;
+  cfg.load = 2.0;
+  Rng rng(5000 + seed);
+  w.instance = make_random_instance(cfg, rng);
+  if (seed == 1) {
+    OutageConfig outage_cfg;
+    outage_cfg.fraction = 0.1;
+    outage_cfg.mean_duration = 10.0;
+    outage_cfg.horizon = 500.0;
+    Rng outage_rng(6000 + seed);
+    w.instance.cloud_outages =
+        make_cloud_outages(cfg.cloud_count, outage_cfg, outage_rng);
+  } else if (seed == 2) {
+    std::vector<double> cloud_speeds;
+    for (int k = 0; k < cfg.cloud_count; ++k) {
+      cloud_speeds.push_back(k % 4 == 0 ? 2.0 : k % 4 == 3 ? 0.5 : 1.0);
+    }
+    w.instance.platform =
+        Platform(w.instance.platform.edge_speeds(), cloud_speeds);
+  }
+  return w;
+}
+
+class PaperHeavyEquivalence
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(PaperHeavyEquivalence, MatchesFrozenReferenceBitForBit) {
+  const auto& [policy_name, seed] = GetParam();
+  const Workload w = make_paper_heavy_workload(seed);
+
+  const auto optimized = make_policy(policy_name);
+  const auto reference = ref::make_reference_policy(policy_name);
+  const SimResult got = run(w, *optimized);
+  const SimResult want = run(w, *reference);
+
+  ASSERT_GE(want.stats.peak_live, 250U) << "not the heavy-load regime";
+  ASSERT_EQ(got.completions.size(), want.completions.size());
+  for (std::size_t i = 0; i < got.completions.size(); ++i) {
+    EXPECT_EQ(got.completions[i], want.completions[i]) << "job " << i;
+  }
+  expect_same_stats(got.stats, want.stats);
+  EXPECT_EQ(got.stats.peak_live, want.stats.peak_live);
+  expect_same_schedule(got.schedule, want.schedule);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperPlatformLoad2, PaperHeavyEquivalence,
+    ::testing::Combine(::testing::Values("greedy", "srpt", "srpt-noreexec",
+                                         "ssf-edf", "failover-srpt"),
+                       ::testing::Range(0, 3)),
+    [](const auto& test) {
+      std::string name = std::get<0>(test.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      const int seed = std::get<1>(test.param);
+      return name + (seed == 0 ? "_plain" : seed == 1 ? "_outages" : "_hetero");
+    });
+
+// One decide() on a live set of 1000 jobs, most of them assigned and
+// partially progressed (tests/paper_scenario.hpp): the directive vector —
+// jobs, targets, priorities, in order — must equal the reference's.
+class PaperDecideEquivalence : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PaperDecideEquivalence, Live1000DirectivesMatchReference) {
+  const std::string& policy_name = GetParam();
+  const PaperDecideScenario scenario(1000);
+  const SimView view(scenario.instance, scenario.states, scenario.now,
+                     &scenario.live);
+
+  const auto optimized = make_policy(policy_name);
+  const auto reference = ref::make_reference_policy(policy_name);
+  optimized->reset(scenario.instance);
+  reference->reset(scenario.instance);
+  std::vector<Directive> got;
+  std::vector<Directive> want;
+  optimized->decide(view, scenario.events, got);
+  reference->decide(view, scenario.events, want);
+
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].job, want[i].job) << "directive " << i;
+    EXPECT_EQ(got[i].target, want[i].target) << "directive " << i;
+    EXPECT_EQ(got[i].priority, want[i].priority) << "directive " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperPlatformLoad2, PaperDecideEquivalence,
+                         ::testing::Values("greedy", "srpt", "srpt-noreexec",
+                                           "ssf-edf", "failover-srpt"),
+                         [](const auto& test) {
+                           std::string name = test.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
 
 // ---------------------------------------------------------------------------
 // Zero-allocation: drive decide() directly on a hand-built view. After the
