@@ -1,5 +1,7 @@
 #include "sched/common.hpp"
 
+#include <bit>
+
 namespace ecs {
 
 void list_assign_directives(const SimView& view,
@@ -67,6 +69,72 @@ void resort_ordered(std::vector<OrderedJob>& order) {
     }
     order[j] = entry;
   }
+}
+
+void MinTree::assign(std::size_t n) {
+  size_ = n;
+  cap_ = std::bit_ceil(std::max<std::size_t>(n, 1));
+  nodes_.assign(2 * cap_, kTimeInfinity);
+}
+
+void MinTree::refresh(std::size_t lo, std::size_t hi) {
+  if (lo >= hi) return;
+  lo += cap_;
+  hi += cap_ - 1;  // inclusive
+  while (lo > 1) {
+    lo >>= 1;
+    hi >>= 1;
+    for (std::size_t i = lo; i <= hi; ++i) {
+      nodes_[i] = std::min(nodes_[2 * i], nodes_[2 * i + 1]);
+    }
+  }
+}
+
+std::size_t MinTree::first_min() const {
+  if (size_ == 0) return 0;
+  std::size_t i = 1;
+  while (i < cap_) {
+    i = 2 * i + (nodes_[2 * i] <= nodes_[2 * i + 1] ? 0 : 1);
+  }
+  return i - cap_;
+}
+
+double MinTree::min_of(std::size_t lo, std::size_t hi) const {
+  double best = kTimeInfinity;
+  for (lo += cap_, hi += cap_; lo < hi; lo >>= 1, hi >>= 1) {
+    if (lo & 1) best = std::min(best, nodes_[lo++]);
+    if (hi & 1) best = std::min(best, nodes_[--hi]);
+  }
+  return best;
+}
+
+std::size_t earliest_fold(std::span<const double> keys) {
+  Time threshold = kTimeInfinity - kDecisionMargin;
+  std::size_t best = keys.size();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i] < threshold) [[unlikely]] {
+      threshold = keys[i] - kDecisionMargin;
+      best = i;
+    }
+  }
+  return best;
+}
+
+TreePick pick_earliest(const MinTree& tree) {
+  const std::size_t n = tree.size();
+  const double top = tree.min();
+  if (top >= kTimeInfinity - kDecisionMargin) return {n, true};
+  const std::size_t k = tree.first_min();
+  if (top < tree.min_of(0, k) - kDecisionMargin) return {k, true};
+  return {earliest_fold(tree.keys()), false};
+}
+
+void PickTable::reset(const Instance& instance) {
+  uncontended_cloud_classes(instance, cloud_class_);
+  rows_.clear();
+  edge_free_.clear();
+  cloud_free_.clear();
+  fresh_ = -1;
 }
 
 int pick_fresh_cloud(const SimView& view,

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -66,16 +67,7 @@ void uncontended_cloud_classes(const Instance& instance,
 /// but each option's value — an uncontended completion, or the stretch
 /// derived from it — is a pure function of (job, target, now), so it is
 /// evaluated once per decide() and the picks only combine cached doubles
-/// with the current free flags.
-///
-/// Those flags (and with them the fresh cloud) change only when a pick
-/// claims a resource, at most edge_count + cloud_count times per decide().
-/// The pick loops therefore combine the rows' options with the flags into
-/// a candidate list once per claim and let the picks in between — jobs
-/// waiting for their own resource with kTargetKeep — scan that list.
-/// Candidates stay in live order and a picked one is overwritten with a
-/// value that never wins, so every scan visits the candidates in the same
-/// order as a loop that erases them.
+/// with the current free flags (PickTable).
 struct PickOption {
   JobId id = -1;
   EdgeId origin = 0;
@@ -88,43 +80,277 @@ struct PickOption {
   bool picked = false;
 };
 
-/// Fills `options` with one row per live job, in live order, evaluating
-/// the keep option (assigned jobs) and the edge option (jobs not already
-/// on the edge) with `value(fields, target)`. No allocation once warm.
-template <typename ValueFn>
-void gather_pick_options(const SimView& view, std::vector<PickOption>& options,
-                         ValueFn&& value) {
-  const std::span<const JobId> live = view.live_jobs();
-  options.resize(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const JobFields f = view.fields(live[i]);
-    PickOption& o = options[i];
-    o.id = live[i];
-    o.origin = f.job->origin;
-    o.alloc = f.alloc;
-    o.fresh_class = -1;
-    o.best_time = f.best_time;
-    o.keep = f.alloc != kAllocUnassigned ? value(f, f.alloc) : kTimeInfinity;
-    o.edge = f.alloc != kAllocEdge ? value(f, kAllocEdge) : kTimeInfinity;
-    o.picked = false;
+/// Tournament tree over the candidate slots of a pick loop: the minimum
+/// key, the first slot holding it and the minimum over a slot range, each
+/// in O(log n); rewriting one slot costs O(log n), rebuilding all O(n).
+/// Lower keys are better — Greedy stores its stretches negated (exact), so
+/// the one tree serves both policies. Empty slots and padding read +inf.
+/// No allocation once warm.
+class MinTree {
+ public:
+  /// Sizes the tree for `n` slots, every key +inf.
+  void assign(std::size_t n);
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Writes slot i's key only; refresh() or rebuild() restores the tree.
+  void set(std::size_t i, double key) { nodes_[cap_ + i] = key; }
+  /// Restores the tree above slots [lo, hi) after set().
+  void refresh(std::size_t lo, std::size_t hi);
+  void rebuild() { refresh(0, size_); }
+  void update(std::size_t i, double key) {
+    set(i, key);
+    refresh(i, i + 1);
   }
+
+  /// The slot keys, in slot order.
+  [[nodiscard]] std::span<const double> keys() const {
+    return {nodes_.data() + cap_, size_};
+  }
+  [[nodiscard]] double min() const { return nodes_[1]; }
+  /// The first slot holding min(); size() when the tree is empty.
+  [[nodiscard]] std::size_t first_min() const;
+  /// Minimum key over slots [lo, hi); +inf for an empty range.
+  [[nodiscard]] double min_of(std::size_t lo, std::size_t hi) const;
+
+ private:
+  std::vector<double> nodes_;  ///< [1] is the root; leaves from cap_
+  std::size_t cap_ = 1;        ///< leaf count, a power of two >= size_
+  std::size_t size_ = 0;
+};
+
+/// A pick over a MinTree: the slot (the tree's size() when nothing can be
+/// placed) and whether the tree certified it without running the fold.
+struct TreePick {
+  std::size_t slot = 0;
+  bool certified = true;
+};
+
+/// SRPT's pick rule over completion-time keys: walking the slots in
+/// order, a slot replaces the current pick when it completes earlier by
+/// more than kDecisionMargin. Returns keys.size() when no slot completes.
+[[nodiscard]] std::size_t earliest_fold(std::span<const double> keys);
+
+/// earliest_fold's result, certified from the tree in O(log n) when
+/// possible. With M = min(), k = first_min() and P = the minimum before k,
+/// the fold returns k whenever M < fl(P - kDecisionMargin) (and M beats the
+/// fold's starting threshold): the fold's threshold on reaching k is
+/// fl(b - margin) for some earlier key b >= P, or the starting threshold,
+/// both above M by monotone rounding, so k replaces it; after k every key
+/// is >= M >= fl(M - margin), so none replaces k. Otherwise the fold runs.
+[[nodiscard]] TreePick pick_earliest(const MinTree& tree);
+
+/// Greedy's pick rule over negated-stretch keys: the highest stretch; a
+/// slot within kDecisionMargin of the current pick replaces it only with a
+/// smaller `best_time(slot)` (short jobs are the most stretch-sensitive).
+/// Starts from stretch -1. Returns keys.size() when nothing can be picked.
+template <typename TiebreakFn>
+[[nodiscard]] std::size_t max_stretch_fold(std::span<const double> keys,
+                                           TiebreakFn&& best_time) {
+  double best_value = -1.0;  // max over slots of the stretch
+  double best_tiebreak = kTimeInfinity;
+  std::size_t best = keys.size();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const double stretch = -keys[i];
+    if (stretch > best_value - kDecisionMargin &&
+        (stretch > best_value + kDecisionMargin ||
+         best_time(i) < best_tiebreak)) [[unlikely]] {
+      best_value = stretch;
+      best_tiebreak = best_time(i);
+      best = i;
+    }
+  }
+  return best;
 }
 
-/// The row's value on the fresh cloud `fresh`, of class `fresh_class`
-/// (uncontended_cloud_classes). Keyed by the class: it is re-evaluated
-/// only when pick_fresh_cloud has moved to a cloud of another class, which
-/// happens at most cloud_count times per decide() — and never on a
-/// platform of identical, outage-free clouds.
-template <typename ValueFn>
-[[nodiscard]] double fresh_option(const SimView& view, PickOption& o,
-                                  CloudId fresh, CloudId fresh_class,
-                                  ValueFn&& value) {
-  if (o.fresh_class != fresh_class) {
-    o.fresh = value(view.fields(o.id), fresh);
-    o.fresh_class = fresh_class;
+/// max_stretch_fold's result, certified from the tree in O(log n) when
+/// possible. With M = the highest stretch, k = its first slot, B the
+/// highest stretch before k and A the highest after k, the fold returns k
+/// whenever fl(max(-1, B) + margin) < M and A <= fl(M - margin): on
+/// reaching k the fold's best value is -1 or an earlier stretch, so at most
+/// max(-1, B), and by monotone rounding M clears both of its tests; after
+/// k no stretch exceeds fl(M - margin), which every replacement needs.
+/// When M <= fl(-1 - margin) no slot passes the first test: nothing is
+/// picked. Otherwise the fold runs.
+template <typename TiebreakFn>
+[[nodiscard]] TreePick pick_max_stretch(const MinTree& tree,
+                                        TiebreakFn&& best_time) {
+  const std::size_t n = tree.size();
+  const double top = -tree.min();
+  if (top <= -1.0 - kDecisionMargin) return {n, true};
+  const std::size_t k = tree.first_min();
+  const double before = -tree.min_of(0, k);
+  const double after = -tree.min_of(k + 1, n);
+  if (std::max(-1.0, before) + kDecisionMargin < top &&
+      after <= top - kDecisionMargin) {
+    return {k, true};
   }
-  return o.fresh;
+  return {max_stretch_fold(tree.keys(), best_time), false};
 }
+
+/// Row indices grouped by a small integer key (an origin edge, an
+/// allocated cloud), in row order within a group. Built in O(rows + keys)
+/// once per decide(); no allocation once warm.
+class RowBuckets {
+ public:
+  /// Groups rows [0, rows) by `key(row)` in [0, keys); a negative key
+  /// leaves the row out.
+  template <typename KeyFn>
+  void build(std::size_t keys, std::size_t rows, KeyFn&& key) {
+    start_.assign(keys + 1, 0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const int k = key(r);
+      if (k >= 0) ++start_[static_cast<std::size_t>(k) + 1];
+    }
+    for (std::size_t k = 0; k < keys; ++k) start_[k + 1] += start_[k];
+    rows_.resize(start_[keys]);
+    fill_.assign(start_.begin(), start_.end() - 1);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const int k = key(r);
+      if (k >= 0) {
+        rows_[fill_[static_cast<std::size_t>(k)]++] =
+            static_cast<std::uint32_t>(r);
+      }
+    }
+  }
+  [[nodiscard]] std::span<const std::uint32_t> operator[](
+      std::size_t k) const {
+    return {rows_.data() + start_[k], start_[k + 1] - start_[k]};
+  }
+
+ private:
+  std::vector<std::uint32_t> start_;
+  std::vector<std::uint32_t> fill_;
+  std::vector<std::uint32_t> rows_;
+};
+
+/// The option table of a Greedy/SRPT pick loop with its resource flags.
+///
+/// A row's candidates depend on the flags only through its origin edge
+/// being free (the edge option, and the keep target of an edge-allocated
+/// row), the fresh cloud (pick_fresh_cloud) being some cloud other than
+/// its allocation, and the fresh cloud's class (the cached fresh value).
+/// A claim therefore changes only:
+///  * an edge claim: the rows of that origin;
+///  * a cloud claim: nothing, unless it moves the fresh cloud — then the
+///    rows allocated to the old or the new fresh cloud, or every row when
+///    the class changes or no cloud is left.
+/// Whether the own cloud of a kept row is still free changes its target
+/// (the cloud, or kTargetKeep to wait) but not its value, so targets are
+/// resolved at pick time: keep_target(), and fresh() for the fresh option.
+class PickTable {
+ public:
+  /// Binds to the instance's cloud classes (uncontended_cloud_classes).
+  void reset(const Instance& instance);
+
+  /// Fills one row per live job, in live order, evaluating the keep option
+  /// (assigned jobs) and the edge option (jobs not already on the edge)
+  /// with `value(fields, target)`; frees every resource and groups the
+  /// rows by origin and by allocated cloud. No allocation once warm.
+  template <typename ValueFn>
+  void gather(const SimView& view, ValueFn&& value) {
+    const Platform& platform = view.platform();
+    if (cloud_class_.size() !=
+        static_cast<std::size_t>(platform.cloud_count())) {
+      uncontended_cloud_classes(view.instance(), cloud_class_);
+    }
+    const std::span<const JobId> live = view.live_jobs();
+    rows_.resize(live.size());
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      const JobFields f = view.fields(live[i]);
+      PickOption& o = rows_[i];
+      o.id = live[i];
+      o.origin = f.job->origin;
+      o.alloc = f.alloc;
+      o.fresh_class = -1;
+      o.best_time = f.best_time;
+      o.keep = f.alloc != kAllocUnassigned ? value(f, f.alloc) : kTimeInfinity;
+      o.edge = f.alloc != kAllocEdge ? value(f, kAllocEdge) : kTimeInfinity;
+      o.picked = false;
+    }
+    edge_free_.assign(static_cast<std::size_t>(platform.edge_count()), 1);
+    cloud_free_.assign(static_cast<std::size_t>(platform.cloud_count()), 1);
+    fresh_ = pick_fresh_cloud(view, cloud_free_);
+    by_origin_.build(edge_free_.size(), rows_.size(),
+                     [&](std::size_t r) { return rows_[r].origin; });
+    by_cloud_.build(cloud_free_.size(), rows_.size(),
+                    [&](std::size_t r) { return rows_[r].alloc; });
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
+  [[nodiscard]] PickOption& operator[](std::size_t r) { return rows_[r]; }
+
+  [[nodiscard]] bool edge_free(const PickOption& o) const {
+    return edge_free_[static_cast<std::size_t>(o.origin)] != 0;
+  }
+  /// The fresh cloud (pick_fresh_cloud over the free clouds); -1 = none.
+  [[nodiscard]] int fresh() const noexcept { return fresh_; }
+  /// The row's target for its keep option: its allocation while that
+  /// resource is free, else kTargetKeep (wait for it).
+  [[nodiscard]] int keep_target(const PickOption& o) const {
+    const bool own_free =
+        o.alloc == kAllocEdge
+            ? edge_free(o)
+            : cloud_free_[static_cast<std::size_t>(o.alloc)] != 0;
+    return own_free ? o.alloc : kTargetKeep;
+  }
+
+  /// The row's value on the fresh cloud. Cached by the cloud's class
+  /// (uncontended_cloud_classes): re-evaluated only when the fresh cloud
+  /// has moved to another class, at most cloud_count times per decide() —
+  /// never on a platform of identical, outage-free clouds.
+  template <typename ValueFn>
+  [[nodiscard]] double fresh_value(const SimView& view, PickOption& o,
+                                   ValueFn&& value) {
+    const CloudId cls = cloud_class_[static_cast<std::size_t>(fresh_)];
+    if (o.fresh_class != cls) {
+      o.fresh = value(view.fields(o.id), fresh_);
+      o.fresh_class = cls;
+    }
+    return o.fresh;
+  }
+
+  /// Row `o` was picked for `target`: claims that resource, then calls
+  /// `rederive(row)` for each unpicked row whose candidates it may have
+  /// changed (see the class comment). Returns true instead when every row
+  /// must be re-derived.
+  template <typename RowFn>
+  [[nodiscard]] bool claim(const SimView& view, const PickOption& o,
+                           int target, RowFn&& rederive) {
+    const auto each_unpicked = [&](std::span<const std::uint32_t> rows) {
+      for (const std::uint32_t r : rows) {
+        if (!rows_[r].picked) rederive(std::size_t{r});
+      }
+    };
+    if (target == kAllocEdge) {
+      edge_free_[static_cast<std::size_t>(o.origin)] = 0;
+      each_unpicked(by_origin_[static_cast<std::size_t>(o.origin)]);
+      return false;
+    }
+    if (target == kTargetKeep) return false;
+    cloud_free_[static_cast<std::size_t>(target)] = 0;
+    const int old = fresh_;
+    fresh_ = pick_fresh_cloud(view, cloud_free_);
+    if (fresh_ == old) return false;
+    if (old < 0 || fresh_ < 0 ||
+        cloud_class_[static_cast<std::size_t>(old)] !=
+            cloud_class_[static_cast<std::size_t>(fresh_)]) {
+      return true;
+    }
+    each_unpicked(by_cloud_[static_cast<std::size_t>(old)]);
+    each_unpicked(by_cloud_[static_cast<std::size_t>(fresh_)]);
+    return false;
+  }
+
+ private:
+  std::vector<PickOption> rows_;  ///< one row per live job, live order
+  std::vector<CloudId> cloud_class_;  ///< uncontended_cloud_classes()
+  std::vector<char> edge_free_;
+  std::vector<char> cloud_free_;
+  int fresh_ = -1;
+  RowBuckets by_origin_;  ///< rows by origin edge
+  RowBuckets by_cloud_;   ///< rows by allocated cloud (edge/none left out)
+};
 
 /// Exponential doubling followed by bisection for the smallest stretch
 /// accepted by `feasible`, starting from the lower bound `lo`, to relative

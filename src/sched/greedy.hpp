@@ -28,20 +28,15 @@ class GreedyPolicy final : public Policy {
 
  private:
   // Workspace, reused across decide() calls (zero steady-state allocation).
-  /// An unpicked, placeable job under the current free flags: its minimum
-  /// achievable stretch, where, and why.
-  struct Candidate {
-    double stretch = 0.0;
-    double best_time = 0.0;  ///< tie-break
-    std::uint32_t row = 0;   ///< into options_
-    int target = kAllocUnassigned;
-    ReasonCode reason = ReasonCode::kGreedyBestStretch;
+  /// Which option of a row is its candidate under the current flags.
+  enum class Option : std::uint8_t { kNone, kKeep, kEdge, kFresh };
+  struct Choice {
+    Option option = Option::kNone;
+    bool held = false;  ///< kKeep because of the switch margin
   };
-  std::vector<PickOption> options_;     ///< one row per live job
-  std::vector<Candidate> candidates_;  ///< rebuilt per claim, live order
-  std::vector<CloudId> cloud_class_;  ///< uncontended_cloud_classes()
-  std::vector<char> edge_free_;
-  std::vector<char> cloud_free_;
+  PickTable table_;              ///< one row per live job
+  std::vector<Choice> choices_;  ///< per row, beside table_
+  MinTree tree_;                 ///< one slot per row: -stretch
 };
 
 }  // namespace ecs

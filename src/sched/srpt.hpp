@@ -10,7 +10,7 @@
 // rule.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "sched/common.hpp"
@@ -41,17 +41,13 @@ class SrptPolicy final : public Policy {
  private:
   SrptConfig config_;
   // Workspace, reused across decide() calls (zero steady-state allocation).
-  /// One available (job, processor) pair under the current free flags.
-  struct Candidate {
-    Time done = 0.0;        ///< uncontended completion
-    std::uint32_t row = 0;  ///< into options_
-    int target = kAllocUnassigned;
-  };
-  std::vector<PickOption> options_;     ///< one row per live job
-  std::vector<Candidate> candidates_;  ///< rebuilt per claim, live order
-  std::vector<CloudId> cloud_class_;  ///< uncontended_cloud_classes()
-  std::vector<char> edge_free_;
-  std::vector<char> cloud_free_;
+  /// A row's slots in the tree, in consideration order.
+  static constexpr std::size_t kKeep = 0;
+  static constexpr std::size_t kEdge = 1;
+  static constexpr std::size_t kFresh = 2;
+  static constexpr std::size_t kSlots = 3;
+  PickTable table_;  ///< one row per live job
+  MinTree tree_;     ///< kSlots slots per row: uncontended completions
 };
 
 }  // namespace ecs

@@ -19,6 +19,8 @@ void SsfEdfPolicy::reset(const Instance& instance) {
   clock_.bind(instance, 0.0);
   entries_.clear();
   order_.clear();
+  live_mark_.clear();
+  mark_ = 0;
 }
 
 bool SsfEdfPolicy::feasible(const SimView& view, double stretch,
@@ -112,23 +114,49 @@ void SsfEdfPolicy::recompute_deadlines(const SimView& view) {
   }
 }
 
+bool SsfEdfPolicy::filter_order(const SimView& view) {
+  const std::span<const JobId> live = view.live_jobs();
+  if (live_mark_.size() < view.state_count()) {
+    live_mark_.resize(view.state_count(), 0);
+  }
+  if (++mark_ == 0) {  // wrap: stale marks could read as current
+    std::fill(live_mark_.begin(), live_mark_.end(), 0);
+    mark_ = 1;
+  }
+  for (const JobId id : live) {
+    live_mark_[static_cast<std::size_t>(view.slot(id))] = mark_;
+  }
+  std::size_t kept = 0;
+  for (const OrderedJob& e : order_) {
+    const std::int32_t slot = view.slot(e.id);
+    if (slot >= 0 && live_mark_[static_cast<std::size_t>(slot)] == mark_) {
+      order_[kept++] = e;
+    }
+  }
+  order_.resize(kept);
+  return kept == live.size();
+}
+
 void SsfEdfPolicy::decide(const SimView& view,
                           const std::vector<Event>& events,
                           std::vector<Directive>& out) {
   if (!clock_.bound()) clock_.bind(view.instance(), view.now());
-  if (contains_release(events)) {
-    recompute_deadlines(view);
-  }
+  const bool release = contains_release(events);
+  if (release) recompute_deadlines(view);
 
   // EDF placement with the stored deadlines: walk live jobs by deadline,
   // put each on the processor where the projection completes it earliest.
   // Only jobs that actually start now are (re)allocated — see
-  // list_assign_directives.
-  order_.clear();
-  for (const JobId id : view.live_jobs()) {
-    order_.push_back(OrderedJob{id, deadlines_[view.slot(id)]});
+  // list_assign_directives. Deadlines change only at releases and (key,
+  // id) is a strict order, so between releases the previous order
+  // filtered down to the live jobs is already sorted.
+  if (release || !filter_order(view)) {
+    order_.clear();
+    for (const JobId id : view.live_jobs()) {
+      order_.push_back(OrderedJob{id, deadlines_[view.slot(id)]});
+    }
+    sort_ordered(order_);
   }
-  sort_ordered(order_);
   // A cloud placement means the edge projection could not hold the
   // deadline-driven target stretch — the paper's delegation criterion.
   list_assign_directives(view, order_, clock_, out,

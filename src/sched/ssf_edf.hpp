@@ -20,6 +20,7 @@
 // next job, and so on; priorities handed to the engine are the EDF ranks.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sched/common.hpp"
@@ -65,6 +66,10 @@ class SsfEdfPolicy final : public Policy {
 
   void recompute_deadlines(const SimView& view);
 
+  /// Drops the jobs that left the live set from order_, keeping its order;
+  /// false when order_ did not hold every live job (order_ is then stale).
+  [[nodiscard]] bool filter_order(const SimView& view);
+
   SsfEdfConfig config_;
   std::vector<double> deadlines_;  ///< per state SLOT (view.slot); +inf idle
   double last_target_stretch_ = 0.0;
@@ -72,6 +77,8 @@ class SsfEdfPolicy final : public Policy {
   // steady-state allocation; see DESIGN.md §6).
   std::vector<OrderedJob> entries_;  ///< per-probe EDF entries
   std::vector<OrderedJob> order_;    ///< decide()'s EDF order
+  std::vector<std::uint32_t> live_mark_;  ///< per state slot: == mark_ if live
+  std::uint32_t mark_ = 0;
   ResourceClock clock_;  ///< probe + assignment projections (sequential)
 };
 

@@ -266,17 +266,32 @@ INSTANTIATE_TEST_SUITE_P(
 // and the scan covers 20 clouds per job and probe. Seed 1 adds announced
 // cloud outages, which take the scan's outage-aware instance; seed 2 mixes
 // cloud speeds, so the fresh cloud moves between speed classes and the
-// scan divides by more than one speed.
+// scan divides by more than one speed. Seed 3 releases every job three
+// times from the same origin at the same date: two exact twins, whose
+// options tie exactly, and a near-twin whose work is half a decision
+// margin shorter, whose options tie within the margin. The pick trees
+// cannot certify such ties, so the pick loops take the exact fold.
 
 Workload make_paper_heavy_workload(int seed) {
   Workload w;
   RandomInstanceConfig cfg;  // the paper platform
-  cfg.n = 400;
+  cfg.n = seed == 3 ? 134 : 400;
   cfg.ccr = 1.0;
-  cfg.load = 2.0;
+  cfg.load = seed == 3 ? 2.0 / 3.0 : 2.0;  // three copies triple the load
   Rng rng(5000 + seed);
   w.instance = make_random_instance(cfg, rng);
-  if (seed == 1) {
+  if (seed == 3) {
+    std::vector<Job> copies;
+    for (const Job& job : w.instance.jobs) {
+      for (int copy = 0; copy < 3; ++copy) {
+        Job twin = job;
+        twin.id = static_cast<JobId>(copies.size());
+        if (copy == 2) twin.work -= 0.5 * kDecisionMargin;
+        copies.push_back(twin);
+      }
+    }
+    w.instance.jobs = copies;
+  } else if (seed == 1) {
     OutageConfig outage_cfg;
     outage_cfg.fraction = 0.1;
     outage_cfg.mean_duration = 10.0;
@@ -321,14 +336,17 @@ INSTANTIATE_TEST_SUITE_P(
     PaperPlatformLoad2, PaperHeavyEquivalence,
     ::testing::Combine(::testing::Values("greedy", "srpt", "srpt-noreexec",
                                          "ssf-edf", "failover-srpt"),
-                       ::testing::Range(0, 3)),
+                       ::testing::Range(0, 4)),
     [](const auto& test) {
       std::string name = std::get<0>(test.param);
       for (char& c : name) {
         if (c == '-') c = '_';
       }
       const int seed = std::get<1>(test.param);
-      return name + (seed == 0 ? "_plain" : seed == 1 ? "_outages" : "_hetero");
+      return name + (seed == 0   ? "_plain"
+                     : seed == 1 ? "_outages"
+                     : seed == 2 ? "_hetero"
+                                 : "_twins");
     });
 
 // One decide() on a live set of 1000 jobs, most of them assigned and
