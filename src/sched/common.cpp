@@ -1,6 +1,7 @@
 #include "sched/common.hpp"
 
 #include <bit>
+#include <cassert>
 
 namespace ecs {
 
@@ -9,18 +10,28 @@ void list_assign_directives(const SimView& view,
                             ResourceClock& clock,
                             std::vector<Directive>& out,
                             ReasonCode local_reason,
-                            ReasonCode offload_reason) {
+                            ReasonCode offload_reason,
+                            std::span<const int> targets) {
+  // Placements between two saturation tests: a test reads every resource
+  // slot, a placement one cloud scan.
+  constexpr std::size_t kSaturationStride = 8;
   const Platform& platform = view.platform();
   const Time now = view.now();
+  const bool replay = !targets.empty();
+  assert(!replay || targets.size() == order.size());
   // Outage-aware: projections mirror the engine's availability windows
   // (the caller bound `clock` to the instance; reset is O(1)).
   clock.reset(now);
   out.reserve(out.size() + order.size());
   double priority = 0.0;
-  for (const OrderedJob& entry : order) {
+  std::size_t i = 0;
+  for (; i < order.size(); ++i) {
+    if (i % kSaturationStride == 0 && i != 0 && clock.saturated(now)) break;
+    const OrderedJob& entry = order[i];
     const JobFields f = view.fields(entry.id);
-    const auto [target, done] = best_target_sticky(platform, clock, f);
-    (void)done;
+    const int target =
+        replay ? targets[i] : best_target_sticky(platform, clock, f).first;
+    assert(!replay || target == best_target_sticky(platform, clock, f).first);
     const bool immediate = clock.starts_now(platform, f, target, now);
     clock.commit(platform, f, target);
     const ReasonCode reason =
@@ -28,6 +39,14 @@ void list_assign_directives(const SimView& view,
                    : (is_cloud_alloc(target) ? offload_reason : local_reason);
     out.push_back(Directive{entry.id, immediate ? target : kTargetKeep,
                             priority, reason});
+    priority += 1.0;
+  }
+  // Saturated: commit() never moves a clock backwards, so starts_now stays
+  // false for every remaining job and target — the walk would queue them
+  // all.
+  for (; i < order.size(); ++i) {
+    out.push_back(Directive{order[i].id, kTargetKeep, priority,
+                            ReasonCode::kQueuedBehindPriority});
     priority += 1.0;
   }
 }

@@ -471,6 +471,18 @@ template <typename FeasibleFn>
 /// semantics for "why this side of the platform" — and queued jobs with
 /// kQueuedBehindPriority.
 ///
+/// Two shortcuts leave every directive as the full walk emits it
+/// (DESIGN.md §6):
+///  * Replay: a non-empty `targets` holds the target of every entry of
+///    `order`, recorded by a projection pass that walked this same order
+///    from a clock reset at view.now() (SSF-EDF's accepted feasibility
+///    probe), so the walk commits those targets without re-running
+///    best_target. Checked against best_target in non-NDEBUG builds.
+///  * Saturation exit: once the clock is saturated at now
+///    (ResourceClock::saturated, tested every few placements), no later
+///    job can start now on any target, so the rest of the order is
+///    emitted as queued without being projected.
+///
 /// Workspace form: `clock` must be bound to the view's instance (the
 /// function resets it); directives are appended to `out`. Neither argument
 /// allocates once warm — this is the zero-allocation hot path.
@@ -478,7 +490,8 @@ void list_assign_directives(
     const SimView& view, const std::vector<OrderedJob>& order,
     ResourceClock& clock, std::vector<Directive>& out,
     ReasonCode local_reason = ReasonCode::kProjectedBestCompletion,
-    ReasonCode offload_reason = ReasonCode::kProjectedBestCompletion);
+    ReasonCode offload_reason = ReasonCode::kProjectedBestCompletion,
+    std::span<const int> targets = {});
 
 /// Allocating convenience overload (tests, one-off tools).
 [[nodiscard]] std::vector<Directive> list_assign_directives(

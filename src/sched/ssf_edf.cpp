@@ -19,6 +19,9 @@ void SsfEdfPolicy::reset(const Instance& instance) {
   clock_.bind(instance, 0.0);
   entries_.clear();
   order_.clear();
+  probe_targets_.clear();
+  accepted_targets_.clear();
+  replay_ = false;
   live_mark_.clear();
   mark_ = 0;
 }
@@ -39,16 +42,20 @@ bool SsfEdfPolicy::feasible(const SimView& view, double stretch,
   resort_ordered(entries_);
 
   clock_.reset(view.now());
+  probe_targets_.resize(entries_.size());
   bool ok = true;
-  for (const OrderedJob& e : entries_) {
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const OrderedJob& e = entries_[i];
     const JobFields s = view.fields(e.id);
     const auto [target, done] = best_target_sticky(platform, clock_, s);
     clock_.commit(platform, s, target);
+    probe_targets_[i] = target;
     if (time_gt(done, e.key)) {
       ok = false;  // short-circuit: one missed deadline sinks the candidate
       break;
     }
   }
+  if (ok) std::swap(probe_targets_, accepted_targets_);
   if (ok && deadlines_out != nullptr) {
     // Keyed by state slot, not id: under streaming (simulate_stream) slots
     // recycle across retired jobs, keeping this buffer O(live), and a slot's
@@ -73,6 +80,7 @@ void SsfEdfPolicy::recompute_deadlines(const SimView& view) {
   // achievable stretch from the current state (and 1.0 overall). The same
   // pass lists the live jobs for the probes to re-key and re-sort.
   double lo = 1.0;
+  replay_ = false;
   entries_.clear();
   for (const JobId id : view.live_jobs()) {
     const JobFields s = view.fields(id);
@@ -101,15 +109,19 @@ void SsfEdfPolicy::recompute_deadlines(const SimView& view) {
   // Locking in the deadlines. When the target is the stretch the search
   // last accepted (alpha = 1 and a verified result, the usual case), its
   // feasibility pass is known to succeed and would only write the keys;
-  // otherwise a final pass decides and writes them.
+  // otherwise a final pass decides and writes them. Either way the keys
+  // come from the last feasible probe, whose walk list assignment replays.
   if (target == accepted) {
     for (const OrderedJob& e : entries_) {
       deadlines_[view.slot(e.id)] = deadline_of(view.fields(e.id), target);
     }
-  } else if (!feasible(view, target, &deadlines_)) {
+    replay_ = true;
+  } else if (feasible(view, target, &deadlines_)) {
+    replay_ = true;
+  } else {
     // alpha < 1 can make the scaled target infeasible; fall back to the
     // verified stretch.
-    (void)feasible(view, best_feasible, &deadlines_);
+    replay_ = feasible(view, best_feasible, &deadlines_);
     last_target_stretch_ = best_feasible;
   }
 }
@@ -157,11 +169,17 @@ void SsfEdfPolicy::decide(const SimView& view,
     }
     sort_ordered(order_);
   }
+  // At a release the order is the accepted probe's: the same live set
+  // under the same keys, sorted by the same strict (key, id) order, walked
+  // from the same clock reset at now — so its recorded targets are the
+  // ones best_target would pick again.
+  std::span<const int> replay;
+  if (release && replay_) replay = accepted_targets_;
   // A cloud placement means the edge projection could not hold the
   // deadline-driven target stretch — the paper's delegation criterion.
   list_assign_directives(view, order_, clock_, out,
                          ReasonCode::kDeadlineFeasibleLocal,
-                         ReasonCode::kDeadlineInfeasibleOnEdge);
+                         ReasonCode::kDeadlineInfeasibleOnEdge, replay);
 }
 
 }  // namespace ecs

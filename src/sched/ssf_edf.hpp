@@ -59,8 +59,10 @@ class SsfEdfPolicy final : public Policy {
 
  private:
   /// Tests whether target stretch S is achievable from the current state;
-  /// fills `deadlines` for live jobs when it is. Non-const: it reuses the
-  /// workspace entry buffer and projection clock.
+  /// fills `deadlines` for live jobs when it is. Records the target of
+  /// every step, and a feasible probe keeps its record in
+  /// accepted_targets_. Non-const: it reuses the workspace entry buffer,
+  /// the target records and the projection clock.
   [[nodiscard]] bool feasible(const SimView& view, double stretch,
                               std::vector<double>* deadlines_out);
 
@@ -79,6 +81,11 @@ class SsfEdfPolicy final : public Policy {
   std::vector<OrderedJob> order_;    ///< decide()'s EDF order
   std::vector<std::uint32_t> live_mark_;  ///< per state slot: == mark_ if live
   std::uint32_t mark_ = 0;
+  std::vector<int> probe_targets_;     ///< per-step targets of a probe
+  std::vector<int> accepted_targets_;  ///< those of the last feasible one
+  /// True when this release's deadlines are the keys of the probe whose
+  /// targets accepted_targets_ holds: list assignment then replays them.
+  bool replay_ = false;
   ResourceClock clock_;  ///< probe + assignment projections (sequential)
 };
 

@@ -1,22 +1,26 @@
 // batch.hpp - Many-worlds batch driver over the reusable engine core.
 //
 // A "world" is one complete simulation run: an instance, a policy and an
-// engine configuration. BatchEngine owns a fixed set of resident world
-// slots per worker thread; each slot keeps an EngineCore, an Instance
-// buffer and a SimResult buffer alive across runs, so a completed world is
-// recycled for the next queued run with zero steady-state allocations —
-// the cost structure a 1000-replication sweep point wants, where the
-// legacy path constructed an engine, a policy and every internal buffer
-// from scratch per run.
+// engine configuration. BatchEngine owns one shared pool of
+// threads x worlds_per_thread resident world slots; each slot keeps an
+// EngineCore, an Instance buffer, a SimResult buffer and its own policy
+// table alive across runs, so a completed world is recycled for the next
+// queued run with zero steady-state allocations — the cost structure a
+// 1000-replication sweep point wants, where the legacy path constructed an
+// engine, a policy and every internal buffer from scratch per run.
 //
-// Each worker steps its resident worlds round-robin in bounded chunks of
-// decision rounds (BatchOptions::rounds_per_visit), pulling the next
-// queued world from a shared counter whenever a slot drains. Stepping is
-// chunked purely for slot recycling and progress interleaving: a world's
-// result depends only on its (instance, policy, config) triple, never on
-// chunk size or scheduling, so a batched run is bit-identical to
-// simulate() on the same triple (tests/test_engine_equivalence.cpp pins
-// this, and the reuse contract, exactly).
+// The pool is work-conserving: any idle worker launches the next queued
+// world into a free slot or claims an unclaimed live world — the one with
+// the least attained visit time — for one visit of
+// BatchOptions::rounds_per_visit decision rounds, so no thread idles while
+// a world waits (slots pinned to one worker left threads idle at the tail
+// of a sweep point while another worker time-shared two long worlds). Worlds migrate between workers from visit to visit; claims and
+// releases go through one mutex, which orders consecutive visits. A
+// world's result depends only on its (instance, policy, config) triple,
+// never on visit size, migration or scheduling, so a batched run is
+// bit-identical to simulate() on the same triple
+// (tests/test_engine_equivalence.cpp pins this, and the reuse contract,
+// exactly).
 //
 // Results are handed to a caller callback on the worker thread, with the
 // world's instance still alive — callers compute metrics or validate
@@ -25,7 +29,6 @@
 // (like exp/sweep.cpp does) to stay deterministic.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,15 +49,18 @@ class HeartbeatMonitor;
 struct BatchOptions {
   /// Worker threads; 0 = default_thread_count().
   unsigned threads = 0;
-  /// Resident world slots per worker. More slots smooth out run-length
-  /// imbalance between queued worlds at the cost of memory; 1 degrades to
-  /// run-to-completion per world.
+  /// Resident world slots per worker thread: the shared pool holds
+  /// threads x worlds_per_thread worlds in flight. More slots interleave
+  /// more worlds (queued worlds launch sooner, long ones share the threads)
+  /// at the cost of memory; with 1, each world still migrates freely but
+  /// at most `threads` are in flight.
   std::uint32_t worlds_per_thread = 2;
-  /// Decision rounds a world advances per visit before the worker moves to
-  /// its next resident slot. Never affects results.
+  /// Decision rounds a world advances per visit before its worker releases
+  /// it back to the pool and claims the next one. Never affects results.
   std::uint64_t rounds_per_visit = 512;
   /// Attach an EngineProfiler (obs/profiler.hpp) to every run. Profilers
-  /// are single-threaded, so the driver owns one per resident world slot —
+  /// are single-threaded, so the driver owns one per resident world slot
+  /// (one visitor at a time) —
   /// the slot's runs accumulate into it and BatchEngine::profile_report()
   /// merges the slots after run() (exact sketch merge, like the sweep
   /// shards). Overrides any EngineConfig::profiler the WorldFn set: a
@@ -107,11 +113,13 @@ class BatchEngine {
   BatchEngine& operator=(const BatchEngine&) = delete;
 
   /// Runs worlds [0, world_count): every world is built with `make_world`,
-  /// simulated to completion and handed to `on_result`. Returns when all
-  /// worlds finished. The first exception thrown by a world (engine error,
-  /// callback validation failure) aborts the batch and is rethrown, like
-  /// parallel_for. Worker state (cores, policy tables, buffers) persists
-  /// across run() calls, so repeated sweep points keep their capacity.
+  /// simulated to completion and handed to `on_result` exactly once.
+  /// Returns when all worlds finished. The first exception thrown by a
+  /// world (engine error, callback validation failure) stops further
+  /// claims and is rethrown after the workers join, like parallel_for.
+  /// Slot state (cores, policy tables, buffers) persists across run()
+  /// calls, so repeated sweep points keep their capacity; slots an aborted
+  /// run left mid-flight re-prepare from scratch.
   void run(std::size_t world_count, const WorldFn& make_world,
            const WorldResultFn& on_result);
 
@@ -122,16 +130,15 @@ class BatchEngine {
   [[nodiscard]] obs::ProfileReport profile_report() const;
 
  private:
-  struct Worker;
+  struct World;
 
-  void run_worker(Worker& worker, std::size_t world_count,
-                  std::atomic<std::size_t>& next_world,
-                  const WorldFn& make_world, const WorldResultFn& on_result);
+  /// Builds the slot's claimed world (make_world, policy reset, prepare).
+  void launch(World& world, const WorldFn& make_world);
 
   std::size_t policy_count_;
   PolicyFactory factory_;
   BatchOptions options_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::unique_ptr<World>> worlds_;  ///< the shared pool
 };
 
 }  // namespace ecs

@@ -813,12 +813,15 @@ void EngineCore::decide_and_activate() {
       }
       // (priority, id) pairs only tie when they are fully identical
       // (duplicate directives), so a plain sort yields the same sequence a
-      // stable sort would — without libstdc++'s temporary buffer.
-      std::sort(order_.begin(), order_.end(),
-                [](const auto& a, const auto& b) {
-                  return a.first != b.first ? a.first < b.first
-                                            : a.second < b.second;
-                });
+      // stable sort would — without libstdc++'s temporary buffer. Rank-
+      // priority policies (greedy, srpt, ssf-edf, fcfs) emit the order
+      // already sorted in practice, so check before sorting.
+      const auto before = [](const auto& a, const auto& b) {
+        return a.first != b.first ? a.first < b.first : a.second < b.second;
+      };
+      if (!std::is_sorted(order_.begin(), order_.end(), before)) {
+        std::sort(order_.begin(), order_.end(), before);
+      }
 
       busy_.clear();
       for (const auto& [prio, id] : order_) {

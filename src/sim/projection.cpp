@@ -6,6 +6,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "sim/policy.hpp"
+
 namespace ecs {
 
 RemainingAmounts remaining_on(const JobFields& f, int target) {
@@ -255,6 +257,27 @@ bool ResourceClock::starts_now(const Platform& /*platform*/, const JobFields& f,
 bool ResourceClock::starts_now(const Platform& platform, const JobState& state,
                                int target, Time now) const {
   return starts_now(platform, fields_of(state), target, now);
+}
+
+bool ResourceClock::saturated(Time now) const {
+  const auto busy = [now](Time t) { return !time_le(t, now); };
+  bool edge_send = true;
+  bool edge_recv = true;
+  for (std::size_t j = 0; j < edges_.size(); ++j) {
+    const Slot s = rd(edges_, j);
+    if (!busy(s.cpu)) return false;
+    edge_send = edge_send && busy(s.send);
+    edge_recv = edge_recv && busy(s.recv);
+  }
+  bool cloud_send = true;
+  bool cloud_recv = true;
+  for (std::size_t k = 0; k < clouds_.size(); ++k) {
+    const Slot s = rd(clouds_, k);
+    if (!busy(s.cpu)) return false;
+    cloud_send = cloud_send && busy(s.send);
+    cloud_recv = cloud_recv && busy(s.recv);
+  }
+  return (edge_send || cloud_recv) && (cloud_send || edge_recv);
 }
 
 std::pair<int, Time> ResourceClock::best_target(const Platform& platform,

@@ -152,6 +152,15 @@ class ResourceClock {
                                 const JobState& state, int target,
                                 Time now) const;
 
+  /// True when no job's next activity can start at `now` on any target:
+  /// every edge and cloud CPU is busy past `now`, uplinks are blocked on
+  /// one side (every edge send port or every cloud receive port busy) and
+  /// so are downlinks (every cloud send port or every edge receive port).
+  /// commit() never moves a clock backwards, so a saturated clock stays
+  /// saturated — starts_now() is then false for every job and target.
+  /// O(edges + clouds), stopping at the first free CPU.
+  [[nodiscard]] bool saturated(Time now) const;
+
  private:
   struct Projection {
     Time up_end;

@@ -16,7 +16,9 @@
 // actually fires for the policies that opt in.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -459,6 +461,135 @@ TEST(BatchEquivalence, InterleavedWorldsOnOneStatefulPolicyStayIsolated) {
         simulate(cells[seed].instance, *policy, config);
     SCOPED_TRACE("seed " + std::to_string(seed));
     expect_same_result(cells[seed].batched, reference);
+  }
+}
+
+// The shared world pool: any worker steps any world between visits, so a
+// world migrates between threads, sometimes after every round. Thirteen
+// worlds of mixed length (n = 5 to 400) and policy, SSF-EDF's stateful
+// search among them, each against a fresh simulate().
+struct PoolWorld {
+  Instance instance;
+  FaultPlan faults;
+  std::size_t policy = 0;
+  SimResult reference;
+};
+
+std::vector<PoolWorld> pool_worlds() {
+  const int sizes[13] = {5, 400, 12, 150, 30, 250, 8, 60, 400, 20, 100, 5,
+                         300};
+  std::vector<PoolWorld> worlds(13);
+  for (std::size_t i = 0; i < worlds.size(); ++i) {
+    PoolWorld& w = worlds[i];
+    RandomInstanceConfig cfg;
+    cfg.n = sizes[i];
+    cfg.cloud_count = 3;
+    cfg.slow_edges = 2;
+    cfg.fast_edges = 2;
+    cfg.load = i % 2 == 0 ? 0.3 : 0.6;
+    Rng rng(7000 + i);
+    w.instance = make_random_instance(cfg, rng);
+    if (i % 4 == 1) {
+      FaultConfig fault_cfg;
+      fault_cfg.crash_rate = 0.002;
+      fault_cfg.mean_repair = 20.0;
+      fault_cfg.horizon = 500.0;
+      Rng fault_rng(8000 + i);
+      w.faults = make_fault_plan(cfg.cloud_count, fault_cfg, fault_rng);
+    }
+    w.policy = i % kAllPolicies.size();
+    const auto policy = make_policy(kAllPolicies[w.policy]);
+    EngineConfig config;
+    config.record_schedule = true;
+    config.faults = w.faults;
+    w.reference = simulate(w.instance, *policy, config);
+  }
+  return worlds;
+}
+
+/// Runs every pool world through `batch`; `on_result` sees each result.
+void run_pool(BatchEngine& batch, const std::vector<PoolWorld>& worlds,
+              const WorldResultFn& on_result) {
+  batch.run(
+      worlds.size(),
+      [&](std::size_t index, Instance& instance, WorldSetup& setup) {
+        instance = worlds[index].instance;
+        setup.policy = worlds[index].policy;
+        setup.config.record_schedule = true;
+        setup.config.faults = worlds[index].faults;
+      },
+      on_result);
+}
+
+BatchEngine pool_engine(unsigned threads, std::uint32_t worlds_per_thread,
+                        std::uint64_t rounds_per_visit) {
+  BatchOptions options;
+  options.threads = threads;
+  options.worlds_per_thread = worlds_per_thread;
+  options.rounds_per_visit = rounds_per_visit;
+  return BatchEngine(
+      kAllPolicies.size(),
+      [](std::size_t p) { return make_policy(kAllPolicies[p]); }, options);
+}
+
+TEST(BatchPool, MigratingWorldsMatchSimulateBitForBit) {
+  const std::vector<PoolWorld> worlds = pool_worlds();
+  for (const unsigned threads : {1U, 3U, 4U}) {
+    for (const std::uint32_t per_thread : {1U, 2U, 3U}) {
+      for (const std::uint64_t rounds : {1U, 3U}) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " per thread " +
+                     std::to_string(per_thread) + " rounds " +
+                     std::to_string(rounds));
+        BatchEngine batch = pool_engine(threads, per_thread, rounds);
+        std::vector<SimResult> results(worlds.size());
+        std::vector<std::atomic<int>> calls(worlds.size());
+        run_pool(batch, worlds,
+                 [&](std::size_t index, const Instance&, SimResult& result,
+                     double) {
+                   calls[index].fetch_add(1);
+                   results[index] = std::move(result);
+                 });
+        for (std::size_t i = 0; i < worlds.size(); ++i) {
+          SCOPED_TRACE("world " + std::to_string(i) + " (" +
+                       kAllPolicies[worlds[i].policy] + ")");
+          ASSERT_EQ(calls[i].load(), 1);
+          expect_same_result(results[i], worlds[i].reference);
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchPool, ThrowingCallbackAbortsAndTheNextRunIsExact) {
+  // A result callback throws at one index: run() must rethrow it after the
+  // workers join (ctest's timeout catches a hang), and the next run() on
+  // the same engine — whose slots the abort left mid-flight — must still
+  // be bit-identical.
+  const std::vector<PoolWorld> worlds = pool_worlds();
+  BatchEngine batch = pool_engine(3, 2, 3);
+  std::vector<std::atomic<int>> calls(worlds.size());
+  EXPECT_THROW(
+      run_pool(batch, worlds,
+               [&](std::size_t index, const Instance&, SimResult&, double) {
+                 calls[index].fetch_add(1);
+                 if (index == 4) throw std::runtime_error("callback failed");
+               }),
+      std::runtime_error);
+  EXPECT_EQ(calls[4].load(), 1);
+  for (const std::atomic<int>& c : calls) EXPECT_LE(c.load(), 1);
+
+  std::vector<SimResult> results(worlds.size());
+  for (std::atomic<int>& c : calls) c.store(0);
+  run_pool(batch, worlds,
+           [&](std::size_t index, const Instance&, SimResult& result,
+               double) {
+             calls[index].fetch_add(1);
+             results[index] = std::move(result);
+           });
+  for (std::size_t i = 0; i < worlds.size(); ++i) {
+    SCOPED_TRACE("world " + std::to_string(i));
+    ASSERT_EQ(calls[i].load(), 1);
+    expect_same_result(results[i], worlds[i].reference);
   }
 }
 

@@ -263,7 +263,9 @@ INSTANTIATE_TEST_SUITE_P(
 // so Greedy and SRPT never exhaust the fresh cloud over a large live set
 // and SSF-EDF's cloud scan stays short. Here the live set peaks above 250:
 // the pick loops go through every claim with their cached option tables,
-// and the scan covers 20 clouds per job and probe. Seed 1 adds announced
+// and the scan covers 20 clouds per job and probe. FCFS and SSF-EDF share
+// the list assignment, which saturates the platform mid-order here and
+// takes its early exit (SSF-EDF also replays its accepted probe). Seed 1 adds announced
 // cloud outages, which take the scan's outage-aware instance; seed 2 mixes
 // cloud speeds, so the fresh cloud moves between speed classes and the
 // scan divides by more than one speed. Seed 3 releases every job three
@@ -335,7 +337,7 @@ TEST_P(PaperHeavyEquivalence, MatchesFrozenReferenceBitForBit) {
 INSTANTIATE_TEST_SUITE_P(
     PaperPlatformLoad2, PaperHeavyEquivalence,
     ::testing::Combine(::testing::Values("greedy", "srpt", "srpt-noreexec",
-                                         "ssf-edf", "failover-srpt"),
+                                         "ssf-edf", "fcfs", "failover-srpt"),
                        ::testing::Range(0, 4)),
     [](const auto& test) {
       std::string name = std::get<0>(test.param);
@@ -380,7 +382,7 @@ TEST_P(PaperDecideEquivalence, Live1000DirectivesMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(PaperPlatformLoad2, PaperDecideEquivalence,
                          ::testing::Values("greedy", "srpt", "srpt-noreexec",
-                                           "ssf-edf", "failover-srpt"),
+                                           "ssf-edf", "fcfs", "failover-srpt"),
                          [](const auto& test) {
                            std::string name = test.param;
                            for (char& c : name) {

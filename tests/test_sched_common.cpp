@@ -7,6 +7,8 @@
 #include <limits>
 #include <random>
 
+#include "paper_scenario.hpp"
+#include "reference_policies.hpp"
 #include "sim/engine.hpp"
 
 namespace ecs {
@@ -115,6 +117,177 @@ TEST(ListAssign, OnlyImmediateStartersGetExplicitTargets) {
   // Priorities follow the key order.
   EXPECT_LT(directives[0].priority, directives[1].priority);
   EXPECT_LT(directives[1].priority, directives[2].priority);
+}
+
+// ---------------------------------------------------------------------------
+// List assignment's saturation exit and replay, against the frozen full walk
+// (ref::list_assign_directives walks and projects every job). Each state is
+// checked for where the full walk first saturates the clock: right after the
+// first job, mid-order, or never.
+
+/// Position after whose placement the full walk first finds the clock
+/// saturated at now; order.size() when it never does.
+std::size_t saturation_point(const SimView& view,
+                             const std::vector<OrderedJob>& order) {
+  ResourceClock clock(view.instance(), view.now());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const JobFields f = view.fields(order[i].id);
+    clock.commit(view.platform(), f,
+                 best_target_sticky(view.platform(), clock, f).first);
+    if (clock.saturated(view.now())) return i;
+  }
+  return order.size();
+}
+
+/// The full walk's target per position — what an SSF-EDF probe records.
+std::vector<int> walk_targets(const SimView& view,
+                              const std::vector<OrderedJob>& order) {
+  ResourceClock clock(view.instance(), view.now());
+  std::vector<int> targets;
+  for (const OrderedJob& entry : order) {
+    const JobFields f = view.fields(entry.id);
+    targets.push_back(best_target_sticky(view.platform(), clock, f).first);
+    clock.commit(view.platform(), f, targets.back());
+  }
+  return targets;
+}
+
+void expect_same_directives(const std::vector<Directive>& got,
+                            const std::vector<Directive>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].job, want[i].job) << "directive " << i;
+    EXPECT_EQ(got[i].target, want[i].target) << "directive " << i;
+    EXPECT_EQ(got[i].priority, want[i].priority) << "directive " << i;
+  }
+}
+
+/// Both forms — walked and replayed — against the reference.
+void expect_list_assign_matches_reference(
+    const SimView& view, const std::vector<OrderedJob>& order) {
+  const std::vector<Directive> want = ref::list_assign_directives(view, order);
+  SCOPED_TRACE("walked");
+  expect_same_directives(list_assign_directives(view, order), want);
+  SCOPED_TRACE("replayed");
+  ResourceClock clock(view.instance(), view.now());
+  std::vector<Directive> replayed;
+  const std::vector<int> targets = walk_targets(view, order);
+  list_assign_directives(view, order, clock, replayed,
+                         ReasonCode::kProjectedBestCompletion,
+                         ReasonCode::kProjectedBestCompletion, targets);
+  expect_same_directives(replayed, want);
+}
+
+/// The live set of a scenario in a scrambled but deterministic order.
+std::vector<OrderedJob> scrambled_order(const std::vector<JobId>& live,
+                                        std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> key(0.0, 1.0);
+  std::vector<OrderedJob> order;
+  for (const JobId id : live) order.push_back(OrderedJob{id, key(rng)});
+  sort_ordered(order);
+  return order;
+}
+
+TEST(ListAssignSaturation, SaturatedAtTheFirstJob) {
+  // One edge and no cloud: the first placement fills the only CPU, and
+  // with no cloud ports every transfer is blocked — the walk is saturated
+  // from the second job on, which the exit skips after its first test.
+  Instance instance;
+  instance.platform = Platform({0.5}, 0);
+  for (int i = 0; i < 20; ++i) {
+    instance.jobs.push_back(Job{i, 0, 1.0 + 0.1 * i, 0.0, 0.5, 0.5});
+  }
+  std::vector<JobState> states;
+  std::vector<JobId> live;
+  for (const Job& job : instance.jobs) {
+    states.push_back(make_state(instance.platform, job));
+    live.push_back(job.id);
+  }
+  const SimView view(instance, states, 0.0);
+  const std::vector<OrderedJob> order = scrambled_order(live, 1);
+  ASSERT_EQ(saturation_point(view, order), 0U);
+  expect_list_assign_matches_reference(view, order);
+}
+
+TEST(ListAssignSaturation, SaturatedMidOrderOnThePaperPlatform) {
+  const PaperDecideScenario scenario(1000);
+  const SimView view(scenario.instance, scenario.states, scenario.now,
+                     &scenario.live);
+  for (const std::uint32_t seed : {1U, 2U}) {
+    const std::vector<OrderedJob> order = scrambled_order(scenario.live, seed);
+    const std::size_t point = saturation_point(view, order);
+    ASSERT_GT(point, 8U);
+    ASSERT_LT(point + 8, order.size());
+    expect_list_assign_matches_reference(view, order);
+  }
+}
+
+TEST(ListAssignSaturation, NeverSaturatedWithFewerJobsThanCpus) {
+  // 30 jobs cannot keep 40 CPUs busy.
+  const PaperDecideScenario scenario(30);
+  const SimView view(scenario.instance, scenario.states, scenario.now,
+                     &scenario.live);
+  const std::vector<OrderedJob> order = scrambled_order(scenario.live, 3);
+  ASSERT_EQ(saturation_point(view, order), order.size());
+  expect_list_assign_matches_reference(view, order);
+}
+
+TEST(ListAssignSaturation, CloudOutagesStayExact) {
+  // A quarter of the clouds are down at now, some come back mid-walk,
+  // the rest have windows ahead: nothing starts on a cloud that is down,
+  // and the walk's exit must still match the reference.
+  PaperDecideScenario scenario(1000);
+  const Time now = scenario.now;
+  const int clouds = scenario.instance.platform.cloud_count();
+  scenario.instance.cloud_outages.assign(static_cast<std::size_t>(clouds),
+                                         IntervalSet{});
+  for (int k = 0; k < clouds; ++k) {
+    IntervalSet& outages = scenario.instance.cloud_outages[k];
+    if (k % 4 == 0) outages.add(now - 1.0, now + 5.0 + k);
+    if (k % 3 == 0) outages.add(now + 20.0, now + 40.0);
+  }
+  const SimView view(scenario.instance, scenario.states, now,
+                     &scenario.live);
+  const std::vector<OrderedJob> order = scrambled_order(scenario.live, 4);
+  ASSERT_LT(saturation_point(view, order), order.size());
+  expect_list_assign_matches_reference(view, order);
+}
+
+TEST(ListAssignSaturation, SaturatedClockStaysSaturatedUnderCommits) {
+  // Past the saturation point, commit the remaining jobs to their best
+  // targets and to arbitrary ones: the clock stays saturated and no job
+  // can start on any target.
+  const PaperDecideScenario scenario(1000);
+  const SimView view(scenario.instance, scenario.states, scenario.now,
+                     &scenario.live);
+  const Platform& platform = scenario.instance.platform;
+  const std::vector<OrderedJob> order = scrambled_order(scenario.live, 5);
+  const std::size_t point = saturation_point(view, order);
+  ASSERT_LT(point, order.size());
+
+  ResourceClock clock(scenario.instance, scenario.now);
+  for (std::size_t i = 0; i <= point; ++i) {
+    const JobFields f = view.fields(order[i].id);
+    clock.commit(platform, f, best_target_sticky(platform, clock, f).first);
+  }
+  ASSERT_TRUE(clock.saturated(scenario.now));
+  for (std::size_t i = point + 1; i < order.size(); ++i) {
+    const JobFields f = view.fields(order[i].id);
+    const int target =
+        i % 2 == 0 ? best_target_sticky(platform, clock, f).first
+                   : static_cast<int>(i % (platform.cloud_count() + 1)) - 1;
+    clock.commit(platform, f, target);
+    ASSERT_TRUE(clock.saturated(scenario.now)) << "after commit " << i;
+    if (i % 16 != 0) continue;
+    for (const OrderedJob& entry : order) {
+      const JobFields g = view.fields(entry.id);
+      for (int t = kAllocEdge; t < platform.cloud_count(); ++t) {
+        ASSERT_FALSE(clock.starts_now(platform, g, t, scenario.now))
+            << "job " << entry.id << " target " << t;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
