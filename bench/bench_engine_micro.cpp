@@ -72,7 +72,7 @@ ecs::FixedPolicy make_fixed_policy(const ecs::Instance& instance) {
 /// silent otherwise. Unlike FixedPolicy (one directive per job per
 /// decision), its cost does not grow with n, so the sparse series measures
 /// the engine and not the policy.
-class OnReleasePolicy final : public ecs::Policy {
+class OnReleasePolicy : public ecs::Policy {
  public:
   explicit OnReleasePolicy(int clouds) : clouds_(clouds) {}
   [[nodiscard]] std::string name() const override { return "OnRelease"; }
@@ -100,6 +100,14 @@ class OnReleasePolicy final : public ecs::Policy {
 
  private:
   int clouds_;
+};
+
+/// The same decisions with the default (empty) contract: decide() runs on
+/// every round, which prices round elision.
+class OnReleaseNoElidePolicy final : public OnReleasePolicy {
+ public:
+  using OnReleasePolicy::OnReleasePolicy;
+  [[nodiscard]] ecs::ElisionContract elision() const override { return {}; }
 };
 
 /// Deterministic sparse-activity instance: arrivals are spaced so that both
@@ -145,17 +153,15 @@ void engine_events(benchmark::State& state) {
 BENCHMARK(engine_events)->Arg(200)->Arg(1000)->Arg(4000)
     ->Unit(benchmark::kMillisecond);
 
-void engine_events_sparse_config(benchmark::State& state, bool snapshot_views,
-                                 bool elide) {
+template <typename SparsePolicy>
+void engine_events_sparse_run(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const ecs::Instance instance = sparse_instance(n);
   std::uint64_t events = 0;
   for (auto _ : state) {
-    OnReleasePolicy policy(instance.platform.cloud_count());
+    SparsePolicy policy(instance.platform.cloud_count());
     ecs::EngineConfig config;
     config.record_schedule = false;
-    config.snapshot_policy_views = snapshot_views;
-    config.elide_invariant_rounds = elide;
     const ecs::SimResult result = ecs::simulate(instance, policy, config);
     events = result.stats.events;
     benchmark::DoNotOptimize(result.completions.data());
@@ -168,24 +174,18 @@ void engine_events_sparse_config(benchmark::State& state, bool snapshot_views,
 }
 
 void engine_events_sparse(benchmark::State& state) {
-  engine_events_sparse_config(state, false, true);
+  engine_events_sparse_run<OnReleasePolicy>(state);
 }
 BENCHMARK(engine_events_sparse)
     ->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-// Ablations for the DESIGN.md §8 breakdown: each row reverts one hot-path
-// prong via its EngineConfig A/B switch (bit-identical results either way).
-// Deliberately outside the CI gate's name filter — they attribute cost,
-// they don't guard it.
-void engine_events_sparse_snapshot(benchmark::State& state) {
-  engine_events_sparse_config(state, true, true);
-}
-BENCHMARK(engine_events_sparse_snapshot)
-    ->Arg(10000)->Unit(benchmark::kMillisecond);
-
+// Ablation for the DESIGN.md §8 breakdown: the same run with the policy's
+// elision contract hidden (bit-identical results either way). Deliberately
+// outside the CI gate's name filter — it attributes cost, it doesn't guard
+// it.
 void engine_events_sparse_noelide(benchmark::State& state) {
-  engine_events_sparse_config(state, false, false);
+  engine_events_sparse_run<OnReleaseNoElidePolicy>(state);
 }
 BENCHMARK(engine_events_sparse_noelide)
     ->Arg(10000)->Unit(benchmark::kMillisecond);

@@ -95,7 +95,8 @@ struct DirectScenario {
 template <typename Scenario>
 void run_decide(benchmark::State& state, const Scenario& scenario,
                 const char* policy_name, bool use_ref) {
-  const ecs::SimView view(scenario.instance, scenario.states, scenario.now,
+  const ecs::soa::StatePool pool = ecs::pool_of(scenario.states);
+  const ecs::SimView view(scenario.instance, pool, scenario.now,
                           &scenario.live);
   const auto policy = make_any_policy(policy_name, use_ref);
   policy->reset(scenario.instance);

@@ -5,7 +5,6 @@
 #include "core/validate.hpp"
 #include "sched/factory.hpp"
 #include "sim/batch.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ecs {
@@ -37,9 +36,9 @@ std::uint64_t replication_seed(std::uint64_t base, const std::string& label,
 
 namespace {
 
-/// One outcome slot per (replication, policy); filled concurrently by
-/// whichever driver runs the grid, merged serially so aggregation order is
-/// deterministic regardless of thread interleaving.
+/// One outcome slot per (replication, policy); filled concurrently by the
+/// batch workers, merged serially so aggregation order is deterministic
+/// regardless of thread interleaving.
 struct RepSlot {
   double max_stretch = 0.0;
   double mean_stretch = 0.0;
@@ -65,49 +64,10 @@ void fill_slot(RepSlot& slot, const ScheduleMetrics& metrics,
   }
 }
 
-/// Legacy task-per-replication driver: each task builds its instance and
-/// runs every policy through run_policy (fresh policy + engine per run).
-void run_point_tasks(const std::string& label, const InstanceFactory& factory,
-                     const std::vector<std::string>& policies,
-                     const SweepOptions& options,
-                     std::vector<RepSlot>& slots) {
-  parallel_for(
-      static_cast<std::size_t>(options.replications),
-      [&](std::size_t rep) {
-        const std::uint64_t seed =
-            sweep_seed(options.base_seed, options.point_index, label,
-                       static_cast<int>(rep));
-        const Instance instance = factory(seed);
-        // Draw the replication's fault plan once, outside the policy loop,
-        // so every policy faces the identical unannounced faults.
-        FaultPlan faults = options.engine.faults;
-        if (options.fault_factory) {
-          faults = options.fault_factory(instance, seed);
-        }
-        for (std::size_t p = 0; p < policies.size(); ++p) {
-          RunOptions run_options;
-          run_options.engine = options.engine;
-          run_options.engine.faults = faults;
-          // Trace sinks are single-run, single-threaded objects, so only
-          // the first replication of the first policy keeps the sink. The
-          // metrics registry is thread-safe and stays shared by every run,
-          // accumulating sweep-wide totals.
-          if (rep != 0 || p != 0) run_options.engine.trace = nullptr;
-          run_options.validate = options.validate_first && rep == 0;
-          const RunOutcome outcome =
-              run_policy(instance, policies[p], run_options);
-          fill_slot(slots[rep * policies.size() + p], outcome.metrics,
-                    outcome.stats, outcome.wall_seconds);
-        }
-      },
-      options.threads);
-}
-
-/// Batch driver: each (replication, policy) pair is a world on a resident
-/// engine core (sim/batch.hpp); the instance, the fault plan and the
-/// validation contract per world match run_point_tasks exactly, so the two
-/// drivers produce bit-identical aggregates (wall_seconds aside — it is
-/// wall time; tests/test_exp.cpp pins the equality).
+/// Each (replication, policy) pair is a world on a resident engine core
+/// (sim/batch.hpp). Replication `rep` draws its instance and fault plan
+/// from sweep_seed(..., rep), so every policy faces the same instance and
+/// the same unannounced faults; replication 0 records and validates.
 void run_point_batch(const std::string& label, const InstanceFactory& factory,
                      const std::vector<std::string>& policies,
                      const SweepOptions& options,
@@ -148,8 +108,7 @@ void run_point_batch(const std::string& label, const InstanceFactory& factory,
         ScheduleMetrics metrics;
         if (options.validate_first && rep == 0) {
           // Re-derive the world's fault plan for the fault-aware validator
-          // (the factories are deterministic in (instance, seed)), exactly
-          // what the task driver hands run_policy.
+          // (the factories are deterministic in (instance, seed)).
           FaultPlan faults = options.engine.faults;
           if (options.fault_factory) {
             const std::uint64_t seed =
@@ -185,12 +144,7 @@ SweepPointResult run_sweep_point(const std::string& label,
   const int reps = options.replications;
   std::vector<RepSlot> slots(static_cast<std::size_t>(reps) *
                              policies.size());
-  if (options.driver == SweepDriver::kTasks) {
-    run_point_tasks(label, factory, policies, options, slots);
-  } else {
-    run_point_batch(label, factory, policies, options, slots,
-                    &result.profile);
-  }
+  run_point_batch(label, factory, policies, options, slots, &result.profile);
 
   for (int rep = 0; rep < reps; ++rep) {
     for (std::size_t p = 0; p < policies.size(); ++p) {

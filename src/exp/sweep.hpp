@@ -44,8 +44,8 @@ struct PolicyAggregate {
   /// Distribution summaries across ALL jobs of ALL replications, without
   /// retaining per-job samples: every quantile estimate carries the
   /// sketch's relative-error bound (obs/sketch.hpp, default 1%). Each
-  /// parallel_for worker fills a private per-replication sketch; the
-  /// merge — exact, order-independent — happens serially afterwards.
+  /// world fills a private per-replication sketch; the merge — exact,
+  /// order-independent — happens serially afterwards.
   obs::QuantileSketch stretch_sketch;    ///< per-job stretch S_i
   obs::QuantileSketch flow_sketch;       ///< per-job flow time C_i - r_i
   obs::QuantileSketch queue_depth_sketch;///< per-replication max queue depth
@@ -56,33 +56,16 @@ struct SweepPointResult {
   std::vector<PolicyAggregate> per_policy;
   /// Merged engine self-profile of every run of this point, keyed by
   /// policy through its decision-latency sketches (SweepOptions::profile;
-  /// empty when off or under the kTasks driver).
+  /// empty when off).
   obs::ProfileReport profile;
 
   [[nodiscard]] const PolicyAggregate& policy(const std::string& name) const;
-};
-
-/// How run_sweep_point executes its replications x policies grid.
-enum class SweepDriver : std::uint8_t {
-  /// Many-worlds batch driver (sim/batch.hpp): each (replication, policy)
-  /// run is a world on a resident engine core; worker threads recycle
-  /// completed worlds, so the steady state allocates nothing and skips the
-  /// per-run policy construction and policy-timer clock reads of the task
-  /// path. Results are bit-identical to kTasks except wall_seconds (it is
-  /// wall time) and the engine's internal policy_seconds (not aggregated).
-  kBatch,
-  /// Legacy path: one parallel_for task per replication, each constructing
-  /// its policies and engine from scratch via run_policy(). Kept as the
-  /// baseline the batch driver is benchmarked and equivalence-tested
-  /// against (bench/bench_batch.cpp, tests/test_exp.cpp).
-  kTasks,
 };
 
 struct SweepOptions {
   int replications = 30;
   std::uint64_t base_seed = 42;
   unsigned threads = 0;  ///< 0 = hardware concurrency
-  SweepDriver driver = SweepDriver::kBatch;
   /// Index of this point within its sweep, mixed into the replication
   /// seeds so two points whose labels collide (e.g. different values
   /// formatted to the same string) still draw distinct instances. -1 (the
@@ -101,20 +84,24 @@ struct SweepOptions {
   /// Optional per-replication unannounced fault plan (sim/faults.hpp);
   /// overrides engine.faults for every run when set.
   FaultPlanFactory fault_factory;
-  /// Collect a merged engine ProfileReport for the point (batch driver
-  /// only — the kTasks path constructs throwaway engines run_policy()
-  /// cannot profile). Per-(policy, point) decision latency falls out of
-  /// the report's policy-keyed sketches. Never affects results.
+  /// Collect a merged engine ProfileReport for the point. Per-(policy,
+  /// point) decision latency falls out of the report's policy-keyed
+  /// sketches. Never affects results.
   bool profile = false;
   /// Optional progress heartbeat (obs/heartbeat.hpp), forwarded to the
   /// batch driver: worlds-done / throughput / ETA on stderr for long
   /// sweeps. Not owned; share one monitor across points for a sweep-wide
-  /// ETA. Ignored by the kTasks driver.
+  /// ETA.
   obs::HeartbeatMonitor* heartbeat = nullptr;
 };
 
 /// Runs one sweep point: `factory(seed)` provides the instances, every
-/// policy in `policies` runs on every replication.
+/// policy in `policies` runs on every replication. Each (replication,
+/// policy) run is a world of the many-worlds batch driver (sim/batch.hpp):
+/// worker threads recycle resident engine cores, so the steady state
+/// allocates nothing and constructs no policy per run. The aggregates are
+/// those of running each world through run_policy() serially (wall_seconds
+/// aside — it is wall time; tests/test_exp.cpp pins the equality).
 [[nodiscard]] SweepPointResult run_sweep_point(
     const std::string& label, const InstanceFactory& factory,
     const std::vector<std::string>& policies, const SweepOptions& options);

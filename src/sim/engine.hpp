@@ -130,18 +130,6 @@ struct EngineConfig {
   /// switches above; the rejections/sheds counters in SimStats (and the
   /// kReject/kShed trace instants) are unaffected.
   bool record_admission = true;
-  /// Build policy SimViews over the published AoS snapshot (the pre-PR-8
-  /// behaviour, one publish pass per decision round) instead of the default
-  /// SoA field view. Schedules are bit-identical either way (the
-  /// equivalence suite pins this); the switch exists for A/B testing and
-  /// diagnosis, not tuning.
-  bool snapshot_policy_views = false;
-  /// Skip decide() on rounds the policy has declared invariant via its
-  /// ElisionContract (see sim/policy.hpp); policies that do not opt in are
-  /// unaffected. Elision is behaviorally invisible — schedules, stats and
-  /// traces are bit-identical with it on or off — so this switch too exists
-  /// for A/B testing and diagnosis.
-  bool elide_invariant_rounds = true;
   /// Unannounced faults (see sim/faults.hpp). The ENGINE owns the plan —
   /// policies never see it and learn of a fault only through the
   /// EventKind::kFault / kRecovery events it triggers. Empty = fault-free.

@@ -232,7 +232,6 @@ class EngineCore {
   void trace_keep_directive(const Directive& d);
   void trace_counter(obs::TracePoint point, double value);
   void step();
-  void publish_policy_view();
   void decide_and_activate();
   void sample_counters(std::uint64_t waiting);
   void apply_directive(const Directive& d);
@@ -256,7 +255,7 @@ class EngineCore {
   bool prepared_ = false;
   bool record_schedule_ = true;  ///< cached config flag; gates the recorders
 
-  soa::StatePool pool_;  ///< SoA per-slot state + policy-facing snapshot
+  soa::StatePool pool_;  ///< SoA per-slot state + AoS read cache
   std::vector<ActivityRecorder> recorders_;
   std::vector<std::pair<JobId, RunRecord>> abandoned_runs_;
   std::vector<JobId> release_order_;
@@ -284,16 +283,11 @@ class EngineCore {
   std::vector<std::uint32_t> seen_round_;     ///< round stamp per slot
   std::uint32_t round_ = 0;
   std::vector<JobId> victims_;  ///< scratch for crash-abort / shed collection
-  /// Slots mutated outside the live set since the last publish (sheds):
-  /// their snapshot entries refresh on the next decision round. Only
-  /// tracked in snapshot-view mode; the field view reads through.
-  std::vector<std::int32_t> dirty_slots_;
 
   // --- no-op round elision (ElisionContract, see sim/policy.hpp) ---
-  /// Cached contract; triggers always include kFault/kRecovery. mode is
-  /// forced to kNone when config_.elide_invariant_rounds is off.
+  /// The policy's contract, cached per run; triggers always include
+  /// kFault/kRecovery.
   ElisionContract elide_;
-  bool snapshot_views_ = false;  ///< cached EngineConfig::snapshot_policy_views
   bool decided_once_ = false;    ///< directives_ holds a real decide() output
   /// Live membership changed since the last real decide() — admissions,
   /// sheds and completions all set it; kReuse elision requires it clear.

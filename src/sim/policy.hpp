@@ -50,15 +50,13 @@ struct Directive {
 
 /// Read-only view of the simulation passed to policies.
 ///
-/// Two backing modes, bit-identical to read from:
-///
-///  * field-view (the engine's default): the view holds the engine's SoA
-///    StatePool directly. fields(id) gathers the policy-facing fields
-///    straight from the dense component arrays — the hot path — while
-///    state(id)/states() keep working by materializing AoS snapshot
-///    entries lazily (first access per round publishes the slot).
-///  * snapshot: the view holds a `vector<JobState>` — hand-built test
-///    views and the engine's EngineConfig::snapshot_policy_views A/B mode.
+/// The view reads the engine's SoA StatePool directly. fields(id) gathers
+/// the policy-facing fields straight from the dense component arrays — the
+/// hot path — while state(id)/states() serve `const JobState&` from the
+/// pool's epoch-stamped AoS read cache: the first read of a slot in a
+/// decision round publishes it, later reads in the same round hit the
+/// cache. Hand-built views (tests, micro-benchmarks) fill a StatePool of
+/// their own.
 ///
 /// In the engine's streaming mode (simulate_stream) completed jobs retire
 /// and their state slots are recycled, so a job id is no longer an index
@@ -74,16 +72,6 @@ class SimView {
   /// answer in O(live) instead of scanning every job state.
   /// `id_map` (streaming engine only) translates a job id to its state
   /// slot; ids absent from the map are retired/rejected and have no state.
-  SimView(const Instance& instance, const std::vector<JobState>& states,
-          Time now, const std::vector<JobId>* live_sorted = nullptr,
-          const soa::IdMap* id_map = nullptr)
-      : instance_(&instance),
-        states_(&states),
-        live_sorted_(live_sorted),
-        id_map_(id_map),
-        now_(now) {}
-
-  /// Field-view mode: reads resolve against the SoA component pool.
   SimView(const Instance& instance, const soa::StatePool& pool, Time now,
           const std::vector<JobId>* live_sorted = nullptr,
           const soa::IdMap* id_map = nullptr)
@@ -101,20 +89,19 @@ class SimView {
   }
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Full AoS state array. In field-view mode this materializes every
-  /// slot's snapshot entry first — an O(n) escape hatch kept for tools and
-  /// legacy callers; policies should use fields()/state()/state_count().
-  [[nodiscard]] const std::vector<JobState>& states() const noexcept {
-    if (pool_ != nullptr) {
-      pool_->materialize_all();
-      return pool_->policy_view();
-    }
-    return *states_;
+  /// The state pool the view reads.
+  [[nodiscard]] const soa::StatePool& pool() const noexcept { return *pool_; }
+
+  /// Full AoS state array, one entry per state slot. Publishes every stale
+  /// cache entry first — an O(n) escape hatch kept for tools and legacy
+  /// callers; policies should use fields()/state()/state_count().
+  [[nodiscard]] const std::vector<JobState>& states() const {
+    return pool_->materialize_all();
   }
 
   /// Number of state slots, without materializing anything.
   [[nodiscard]] std::size_t state_count() const noexcept {
-    return pool_ != nullptr ? pool_->size() : states_->size();
+    return pool_->size();
   }
 
   /// Index of `id`'s state in states(). Identity without an id map;
@@ -127,46 +114,34 @@ class SimView {
 
   [[nodiscard]] const JobState& state(JobId id) const {
     const std::int32_t s = slot(id);
-    if (pool_ != nullptr) {
-      if (s < 0 || static_cast<std::size_t>(s) >= pool_->size()) {
-        throw std::out_of_range("SimView::state: job has no state slot");
-      }
-      return pool_->materialize(s);
+    if (s < 0 || static_cast<std::size_t>(s) >= pool_->size()) {
+      throw std::out_of_range("SimView::state: job has no state slot");
     }
-    return states_->at(static_cast<std::size_t>(s));
+    return pool_->materialize(s);
   }
 
   /// The policy-facing fields of `id`, gathered by value — the hot read
-  /// path: in field-view mode this touches only the needed SoA arrays and
-  /// never writes a snapshot entry. `id` must be live or belong to the
-  /// current event batch (the slot() >= 0 contract above).
+  /// path: touches only the needed SoA arrays and never writes a cache
+  /// entry. `id` must be live or belong to the current event batch (the
+  /// slot() >= 0 contract above).
   [[nodiscard]] JobFields fields(JobId id) const {
     const std::int32_t s = slot(id);
-    if (pool_ != nullptr) {
-      assert(s >= 0 && static_cast<std::size_t>(s) < pool_->size());
-      return pool_->fields(s);
-    }
-    return fields_of(states_->at(static_cast<std::size_t>(s)));
+    assert(s >= 0 && static_cast<std::size_t>(s) < pool_->size());
+    return pool_->fields(s);
   }
 
   /// Ids of released, unfinished jobs, ascending. Non-owning: the span
   /// aliases the engine's sorted live index (no copy — this sits on every
   /// policy's hot path) and is valid only while the view is. When the view
   /// was built without a live index (hand-made views in tests), the list is
-  /// derived once from the states and cached in the view.
+  /// derived once from the pool and cached in the view.
   [[nodiscard]] std::span<const JobId> live_jobs() const {
     if (live_sorted_ != nullptr) return *live_sorted_;
     if (!fallback_built_) {
       fallback_live_.clear();
-      if (pool_ != nullptr) {
-        const auto n = static_cast<std::int32_t>(pool_->size());
-        for (std::int32_t s = 0; s < n; ++s) {
-          if (pool_->live(s)) fallback_live_.push_back(pool_->job(s).id);
-        }
-      } else {
-        for (const JobState& s : *states_) {
-          if (s.live()) fallback_live_.push_back(s.job.id);
-        }
+      const auto n = static_cast<std::int32_t>(pool_->size());
+      for (std::int32_t s = 0; s < n; ++s) {
+        if (pool_->live(s)) fallback_live_.push_back(pool_->job(s).id);
       }
       fallback_built_ = true;
     }
@@ -175,8 +150,7 @@ class SimView {
 
  private:
   const Instance* instance_;
-  const std::vector<JobState>* states_ = nullptr;  ///< snapshot mode
-  const soa::StatePool* pool_ = nullptr;           ///< field-view mode
+  const soa::StatePool* pool_;
   const std::vector<JobId>* live_sorted_ = nullptr;
   const soa::IdMap* id_map_ = nullptr;  ///< streaming id -> slot map
   mutable std::vector<JobId> fallback_live_;  ///< lazy; null live_sorted_ only
@@ -202,7 +176,8 @@ class SimView {
 /// The engine always treats kFault and kRecovery as triggers regardless of
 /// the declared mask — fault-digesting wrappers and safety both depend on
 /// seeing them. Elision must be behaviorally invisible: the equivalence
-/// suite pins byte-identical schedules with it on and off.
+/// suite pins byte-identical schedules against the same policy with its
+/// contract hidden.
 struct ElisionContract {
   enum class Mode : std::uint8_t {
     kNone,                  ///< never elide; decide() runs every round

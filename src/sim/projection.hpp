@@ -35,7 +35,7 @@ namespace ecs {
 
 /// Earliest finish time of the job on `target`, starting at `now`,
 /// assuming no contention. `target` is kAllocEdge or a cloud index.
-/// The JobFields overload is primary (the field-view hot path); the
+/// The JobFields overload is primary (the SimView::fields() hot path); the
 /// JobState form wraps it via fields_of(), so both are bit-identical.
 [[nodiscard]] Time uncontended_completion(const Platform& platform,
                                           const JobFields& f, int target,

@@ -7,13 +7,12 @@
 //  * StatePool   - the per-slot job state: the hot progress fields
 //                  (rem_up / rem_work / rem_down / rate / last_update) and
 //                  the warm allocation / lifecycle fields, each in its own
-//                  dense array indexed by state slot. The pool also owns the
-//                  policy-facing AoS snapshot (`policy_view()`): SimView and
-//                  the policies keep reading `const JobState&`, and the
-//                  engine publish()es the slots whose state changed before
-//                  every decision round — so the read API of the policy
-//                  layer is unchanged while the engine hot path walks dense
-//                  arrays.
+//                  dense array indexed by state slot. Policies read it
+//                  through SimView::fields(), which gathers straight from
+//                  the arrays. The legacy `const JobState&` accessors
+//                  (SimView::state() / states()) are served by an
+//                  epoch-stamped AoS read cache (materialize()), sized and
+//                  filled only when something asks for it.
 //  * LiveIndex   - sparse-set index of the live (released, unfinished)
 //                  jobs: a dense array of (id, slot) pairs with O(1)
 //                  swap-erase plus a slot -> dense-position table. Erasure
@@ -50,6 +49,8 @@ class StatePool {
  public:
   /// Resizes to `n` slots, every one reset to the default state. Keeps the
   /// arrays' capacity, so a reused pool allocates nothing on re-prepare.
+  /// The AoS read cache is left unsized (it is filled on first read) and
+  /// invalidated.
   void reset(std::size_t n) {
     job_.assign(n, Job{});
     best_time_.assign(n, 0.0);
@@ -65,11 +66,7 @@ class StatePool {
     done_.assign(n, 0);
     completion_.assign(n, -1.0);
     reassignments_.assign(n, 0);
-    // The AoS snapshot is a cache: every entry is fully overwritten by
-    // publish() before anyone reads it (lazily in field-view mode, eagerly
-    // in snapshot mode), so resize — not assign — is enough and skips an
-    // O(n · sizeof(JobState)) clear per run.
-    view_.resize(n);
+    invalidate_view();
   }
 
   /// Appends one default slot (streaming growth); returns its index.
@@ -89,7 +86,6 @@ class StatePool {
     done_.push_back(0);
     completion_.push_back(-1.0);
     reassignments_.push_back(0);
-    view_.emplace_back();
     return slot;
   }
 
@@ -254,57 +250,37 @@ class StatePool {
   }
 
   /// Gathers the policy-facing fields of slot `s` straight from the
-  /// component arrays — the field-view fast path; no AoS entry is written.
+  /// component arrays — the policy read path; no AoS entry is written.
   [[nodiscard]] JobFields fields(std::int32_t s) const noexcept {
     return JobFields{&job_[s],   best_time_[s], alloc_[s],
                      rem_up_[s], rem_work_[s],  rem_down_[s]};
   }
 
-  // --- policy-facing AoS snapshot (the SimView facade) ---
+  // --- AoS read cache behind SimView::state() / states() ---
+  //
+  // Entry `s` mirrors slot `s` as of the epoch stamped on it. Component
+  // writes do not touch the cache; invalidate_view() makes every entry
+  // stale in O(1), and a read republishes a stale entry on demand. The
+  // engine invalidates once per decision round that runs decide(), so a
+  // policy sees the state of its own round and pays at most one publish
+  // per slot it reads. Nothing is allocated until the first read.
 
-  /// The AoS mirror handed to SimView. Entry `s` is authoritative as of the
-  /// last publish(s). In snapshot mode the engine publishes every slot
-  /// whose state may have changed before each policy call; in field-view
-  /// mode (the default) entries are materialize()d lazily on first access.
-  [[nodiscard]] const std::vector<JobState>& policy_view() const noexcept {
-    return view_;
-  }
+  /// Marks every cache entry stale.
+  void invalidate_view() noexcept { ++epoch_; }
 
-  /// Publishes slot `s` and returns its snapshot entry. Const because the
-  /// authoritative component arrays are untouched — the AoS snapshot is a
-  /// mutable cache. Backs SimView::state() in field-view mode.
-  [[nodiscard]] const JobState& materialize(std::int32_t s) const {
-    publish(s);
-    return view_[s];
-  }
+  /// The cached AoS entry of slot `s`, republished if stale. Const because
+  /// the authoritative component arrays are untouched — the cache is
+  /// mutable. Backs SimView::state().
+  [[nodiscard]] const JobState& materialize(std::int32_t s) const;
 
-  /// Publishes every slot; backs SimView::states() in field-view mode (an
-  /// O(n) escape hatch — hot policies should read fields()/state()).
-  void materialize_all() const { publish_all(); }
+  /// Every slot's cached entry, republishing the stale ones; the result
+  /// has exactly size() entries. O(1) when every entry is current, O(n)
+  /// otherwise. Backs SimView::states().
+  [[nodiscard]] const std::vector<JobState>& materialize_all() const;
 
-  /// Copies slot `s`'s components into the AoS snapshot entry.
-  void publish(std::int32_t s) const {
-    JobState& d = view_[s];
-    d.job = job_[s];
-    d.best_time = best_time_[s];
-    d.alloc = alloc_[s];
-    d.rem_up = rem_up_[s];
-    d.rem_work = rem_work_[s];
-    d.rem_down = rem_down_[s];
-    d.active = active_[s];
-    d.rate = rate_[s];
-    d.last_update = last_update_[s];
-    d.was_active = was_active_[s] != 0;
-    d.released = released_[s] != 0;
-    d.done = done_[s] != 0;
-    d.completion = completion_[s];
-    d.reassignments = reassignments_[s];
-  }
-
-  void publish_all() const {
-    for (std::int32_t s = 0; s < static_cast<std::int32_t>(size()); ++s) {
-      publish(s);
-    }
+  /// Number of cache entries allocated so far (0 until the first read).
+  [[nodiscard]] std::size_t cached_slots() const noexcept {
+    return view_.size();
   }
 
  private:
@@ -322,9 +298,17 @@ class StatePool {
   std::vector<std::uint8_t> done_;
   std::vector<Time> completion_;
   std::vector<int> reassignments_;
-  /// Published AoS snapshot for SimView. Mutable: it is a read-side cache
-  /// of the component arrays, (re)filled from const contexts.
+
+  /// Sizes the cache to size() entries; new entries start stale.
+  void size_view() const;
+  /// Copies slot `s`'s components into its cache entry and stamps it.
+  void publish(std::int32_t s) const;
+
+  // The AoS read cache. Mutable: it is refilled from const readers.
   mutable std::vector<JobState> view_;
+  mutable std::vector<std::uint64_t> view_epoch_;  ///< stamp per entry
+  mutable std::uint64_t all_epoch_ = 0;  ///< epoch of the last full publish
+  std::uint64_t epoch_ = 1;  ///< current epoch; stamps below it are stale
 };
 
 /// Sparse-set index of the live jobs. The dense array carries (id, slot)

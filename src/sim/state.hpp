@@ -99,11 +99,11 @@ struct JobState {
 
 /// The subset of per-job state every policy read path needs, gathered by
 /// value (plus a pointer to the static Job). SimView::fields() fills it
-/// straight from the engine's SoA component arrays — no AoS snapshot in
+/// straight from the engine's SoA component arrays — no AoS read cache in
 /// between — and the projection / policy helpers take it as their primary
 /// input. The JobState overloads of those helpers are thin wrappers over
-/// fields_of(), so the snapshot and field-view paths run the same code and
-/// stay bit-identical by construction.
+/// fields_of(), so callers reading state() and callers reading fields()
+/// run the same code and stay bit-identical by construction.
 struct JobFields {
   const Job* job = nullptr;
   double best_time = 0.0;

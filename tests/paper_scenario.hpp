@@ -12,10 +12,12 @@
 // which SSF-EDF projects every job onto every cloud.
 //
 // Shared by the policy-equivalence suite and the policy micro-benchmark;
-// deterministic in (live, seed).
+// deterministic in (live, seed). pool_of() turns hand-built JobStates into
+// the StatePool a SimView reads.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "sim/policy.hpp"
@@ -23,6 +25,32 @@
 #include "workloads/random_instances.hpp"
 
 namespace ecs {
+
+/// A StatePool whose slot i holds states[i], filled through the pool's
+/// component accessors: the backing of every hand-built SimView.
+inline soa::StatePool pool_of(const std::vector<JobState>& states) {
+  soa::StatePool pool;
+  pool.reset(states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const JobState& s = states[i];
+    const auto slot = static_cast<std::int32_t>(i);
+    pool.job(slot) = s.job;
+    pool.best_time(slot) = s.best_time;
+    pool.alloc(slot) = s.alloc;
+    pool.rem_up(slot) = s.rem_up;
+    pool.rem_work(slot) = s.rem_work;
+    pool.rem_down(slot) = s.rem_down;
+    pool.active(slot) = s.active;
+    pool.rate(slot) = s.rate;
+    pool.last_update(slot) = s.last_update;
+    pool.was_active(slot) = s.was_active ? 1 : 0;
+    pool.released(slot) = s.released ? 1 : 0;
+    pool.done(slot) = s.done ? 1 : 0;
+    pool.completion(slot) = s.completion;
+    pool.reassignments(slot) = s.reassignments;
+  }
+  return pool;
+}
 
 struct PaperDecideScenario {
   explicit PaperDecideScenario(int live_count, std::uint64_t seed = 42) {

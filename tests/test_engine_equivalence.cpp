@@ -10,10 +10,10 @@
 // (e.g. a progress update done only when tracing) breaks this suite
 // immediately and exactly, with no tolerance to hide behind.
 //
-// A second matrix pins the PR-8 hot-path switches the same way: SoA field
-// views vs published AoS snapshots, and no-op round elision on vs off, must
-// all be behaviorally invisible — plus engagement checks proving elision
-// actually fires for the policies that opt in.
+// A second matrix pins no-op round elision the same way: a policy run with
+// its ElisionContract and the same policy with the contract hidden must be
+// indistinguishable — plus engagement checks proving elision actually
+// fires for the policies that opt in.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -196,26 +196,42 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_seed" + std::to_string(std::get<1>(info.param));
     });
 
-// ------------------------------------------- hot-path invisibility matrix
+// ---------------------------------------------- elision invisibility matrix
 //
-// PR 8 made two hot-path switches configurable precisely so this matrix can
-// pin them: SoA field views vs the published AoS snapshot, and no-op round
-// elision on vs off. All four combinations must produce byte-identical
-// runs — completions, stats, fault logs, interval histories AND trace
-// streams — on the same randomized workloads (outages on odd seeds,
-// unannounced faults on most), with admission control engaged on odd seeds
-// so rejection/shed rounds are part of the matrix too.
+// Round elision must be behaviorally invisible: a policy run with its
+// ElisionContract and the same policy behind NoElision (decide() on every
+// round) must produce byte-identical runs — completions, stats, fault logs,
+// interval histories AND trace streams — on the same randomized workloads
+// (outages on odd seeds, unannounced faults on most), with admission
+// control engaged on odd seeds so rejection/shed rounds are part of the
+// matrix too.
+
+/// Forwards everything to `inner` except its ElisionContract: elision()
+/// keeps the default (no contract), so the engine runs decide() on every
+/// round — the reference an elided run must match.
+class NoElision final : public Policy {
+ public:
+  explicit NoElision(Policy& inner) : inner_(&inner) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  void reset(const Instance& instance) override { inner_->reset(instance); }
+  void decide(const SimView& view, const std::vector<Event>& events,
+              std::vector<Directive>& out) override {
+    inner_->decide(view, events, out);
+  }
+
+ private:
+  Policy* inner_;
+};
 
 Variant run_mode_variant(const Instance& instance,
                          const std::string& policy_name,
-                         const FaultPlan& faults, int seed,
-                         bool snapshot_views, bool elide) {
+                         const FaultPlan& faults, int seed, bool elide) {
   const auto policy = make_policy(policy_name);
+  NoElision hidden(*policy);
   EngineConfig config;
   config.record_schedule = true;
   config.faults = faults;
-  config.snapshot_policy_views = snapshot_views;
-  config.elide_invariant_rounds = elide;
   if (seed % 2 == 1) {  // a binding live cap on the higher-load seeds
     config.admission.max_live = 10;
     config.admission.rule = AdmissionRule::kRejectHopeless;
@@ -223,7 +239,8 @@ Variant run_mode_variant(const Instance& instance,
   obs::MemoryTraceSink sink;
   config.trace = &sink;
   Variant v;
-  v.result = simulate(instance, *policy, config);
+  v.result = elide ? simulate(instance, *policy, config)
+                   : simulate(instance, hidden, config);
   v.trace = sink.records();
   return v;
 }
@@ -231,26 +248,20 @@ Variant run_mode_variant(const Instance& instance,
 class HotPathEquivalence
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
-TEST_P(HotPathEquivalence, ViewModeAndElisionAreInvisible) {
+TEST_P(HotPathEquivalence, ElisionIsInvisible) {
   const auto& [policy_name, seed] = GetParam();
   FaultPlan faults;
   const Instance instance = equivalence_instance(seed, &faults);
 
-  const Variant field_elide =
-      run_mode_variant(instance, policy_name, faults, seed, false, true);
-  const Variant field_plain =
-      run_mode_variant(instance, policy_name, faults, seed, false, false);
-  const Variant snap_elide =
-      run_mode_variant(instance, policy_name, faults, seed, true, true);
-  const Variant snap_plain =
-      run_mode_variant(instance, policy_name, faults, seed, true, false);
+  const Variant elided =
+      run_mode_variant(instance, policy_name, faults, seed, true);
+  const Variant plain =
+      run_mode_variant(instance, policy_name, faults, seed, false);
 
-  for (const Variant* v : {&field_plain, &snap_elide, &snap_plain}) {
-    expect_same_result(v->result, field_elide.result);
-    ASSERT_EQ(v->trace.size(), field_elide.trace.size());
-    for (std::size_t i = 0; i < v->trace.size(); ++i) {
-      EXPECT_EQ(v->trace[i], field_elide.trace[i]) << "record " << i;
-    }
+  expect_same_result(plain.result, elided.result);
+  ASSERT_EQ(plain.trace.size(), elided.trace.size());
+  for (std::size_t i = 0; i < plain.trace.size(); ++i) {
+    EXPECT_EQ(plain.trace[i], elided.trace[i]) << "record " << i;
   }
 }
 
@@ -288,10 +299,11 @@ TEST(RoundElision, ReuseContractEngagesForFixedAssignments) {
   }
 
   auto run_with = [&](bool elide, std::uint64_t* elided) {
-    FixedPolicy policy(alloc, priority);
+    FixedPolicy fixed(alloc, priority);
+    NoElision hidden(fixed);
+    Policy& policy = elide ? static_cast<Policy&>(fixed) : hidden;
     EngineConfig config;
     config.record_schedule = true;
-    config.elide_invariant_rounds = elide;
     policy.reset(instance);
     detail::EngineCore core;
     core.prepare(instance, nullptr, policy, config);
@@ -305,7 +317,7 @@ TEST(RoundElision, ReuseContractEngagesForFixedAssignments) {
   const SimResult on = run_with(true, &elided_on);
   const SimResult off = run_with(false, &elided_off);
   EXPECT_GT(elided_on, 0U) << "reuse elision never engaged";
-  EXPECT_EQ(elided_off, 0U) << "elision engaged despite being disabled";
+  EXPECT_EQ(elided_off, 0U) << "elision engaged without a contract";
   expect_same_result(on, off);
 }
 
@@ -337,10 +349,11 @@ TEST(RoundElision, EmptyContractEngagesForReleaseDrivenPolicy) {
   const Instance instance = equivalence_instance(0, &faults);  // fault-free
 
   auto run_with = [&](bool elide, std::uint64_t* elided) {
-    ReleaseOnlyPolicy policy;
+    ReleaseOnlyPolicy release_only;
+    NoElision hidden(release_only);
+    Policy& policy = elide ? static_cast<Policy&>(release_only) : hidden;
     EngineConfig config;
     config.record_schedule = true;
-    config.elide_invariant_rounds = elide;
     policy.reset(instance);
     detail::EngineCore core;
     core.prepare(instance, nullptr, policy, config);
@@ -354,7 +367,7 @@ TEST(RoundElision, EmptyContractEngagesForReleaseDrivenPolicy) {
   const SimResult on = run_with(true, &elided_on);
   const SimResult off = run_with(false, &elided_off);
   EXPECT_GT(elided_on, 0U) << "empty elision never engaged";
-  EXPECT_EQ(elided_off, 0U) << "elision engaged despite being disabled";
+  EXPECT_EQ(elided_off, 0U) << "elision engaged without a contract";
   expect_same_result(on, off);
 }
 

@@ -9,6 +9,7 @@
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "sim/faults.hpp"
 #include "util/rng.hpp"
 #include "workloads/random_instances.hpp"
 
@@ -155,42 +156,123 @@ TEST(Sweep, SweepSeedMixesThePointIndex) {
   EXPECT_NE(p0, sweep_seed(43, 0, "0.50", 0));
 }
 
-TEST(Sweep, BatchAndTaskDriversAgreeBitForBit) {
-  // The contract documented on SweepDriver: identical aggregates from both
-  // drivers, wall_seconds excepted (it is wall time). Compare every
-  // deterministic accumulator and the merged sketches on a multi-policy,
-  // multi-replication point, with validation on (rep 0 takes the
-  // record+validate path in both drivers).
-  const auto factory = [](std::uint64_t seed) { return tiny_instance(seed); };
-  const std::vector<std::string> policies = {"srpt", "greedy", "ssf-edf"};
-  SweepOptions batch;
-  batch.replications = 6;
-  batch.threads = 3;
-  batch.driver = SweepDriver::kBatch;
-  batch.point_index = 2;
-  SweepOptions tasks = batch;
-  tasks.driver = SweepDriver::kTasks;
+/// The aggregates run_sweep_point must produce, built serially: every
+/// (replication, policy) world through run_policy on
+/// factory(sweep_seed(...)) with the replication's fault plan, replication
+/// 0 validated, accumulated in replication order.
+SweepPointResult serial_sweep_point(const std::string& label,
+                                    const InstanceFactory& factory,
+                                    const std::vector<std::string>& policies,
+                                    const SweepOptions& options) {
+  SweepPointResult result;
+  result.label = label;
+  for (const std::string& name : policies) {
+    result.per_policy.emplace_back();
+    result.per_policy.back().policy = name;
+  }
+  for (int rep = 0; rep < options.replications; ++rep) {
+    const std::uint64_t seed =
+        sweep_seed(options.base_seed, options.point_index, label, rep);
+    const Instance instance = factory(seed);
+    RunOptions run_options;
+    run_options.engine = options.engine;
+    if (options.fault_factory) {
+      run_options.engine.faults = options.fault_factory(instance, seed);
+    }
+    run_options.validate = options.validate_first && rep == 0;
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      const RunOutcome outcome =
+          run_policy(instance, policies[p], run_options);
+      PolicyAggregate& agg = result.per_policy[p];
+      agg.max_stretch.add(outcome.metrics.max_stretch);
+      agg.mean_stretch.add(outcome.metrics.mean_stretch);
+      agg.reassignments.add(
+          static_cast<double>(outcome.stats.reassignments));
+      agg.events.add(static_cast<double>(outcome.stats.events));
+      obs::QuantileSketch stretch;
+      obs::QuantileSketch flow;
+      for (const JobMetrics& jm : outcome.metrics.per_job) {
+        stretch.observe(jm.stretch);
+        flow.observe(jm.response);
+      }
+      agg.stretch_sketch.merge(stretch);
+      agg.flow_sketch.merge(flow);
+      agg.queue_depth_sketch.observe(
+          static_cast<double>(outcome.stats.max_queue_depth));
+    }
+  }
+  return result;
+}
 
-  const SweepPointResult a = run_sweep_point("p", factory, policies, batch);
-  const SweepPointResult b = run_sweep_point("p", factory, policies, tasks);
+/// Every deterministic accumulator and the merged sketches, exactly
+/// (wall_seconds is wall time and never reproducible).
+void expect_same_aggregates(const SweepPointResult& got,
+                            const SweepPointResult& want,
+                            const std::vector<std::string>& policies) {
   for (const std::string& name : policies) {
     SCOPED_TRACE(name);
-    const PolicyAggregate& pa = a.policy(name);
-    const PolicyAggregate& pb = b.policy(name);
-    EXPECT_DOUBLE_EQ(pa.max_stretch.mean(), pb.max_stretch.mean());
-    EXPECT_DOUBLE_EQ(pa.max_stretch.stddev(), pb.max_stretch.stddev());
-    EXPECT_DOUBLE_EQ(pa.mean_stretch.mean(), pb.mean_stretch.mean());
-    EXPECT_DOUBLE_EQ(pa.reassignments.mean(), pb.reassignments.mean());
-    EXPECT_DOUBLE_EQ(pa.events.mean(), pb.events.mean());
-    EXPECT_EQ(pa.stretch_sketch.count(), pb.stretch_sketch.count());
-    EXPECT_DOUBLE_EQ(pa.stretch_sketch.sum(), pb.stretch_sketch.sum());
-    EXPECT_DOUBLE_EQ(pa.stretch_sketch.quantile(0.99),
-                     pb.stretch_sketch.quantile(0.99));
-    EXPECT_DOUBLE_EQ(pa.flow_sketch.quantile(0.5),
-                     pb.flow_sketch.quantile(0.5));
-    EXPECT_DOUBLE_EQ(pa.queue_depth_sketch.max(),
-                     pb.queue_depth_sketch.max());
+    const PolicyAggregate& a = got.policy(name);
+    const PolicyAggregate& b = want.policy(name);
+    EXPECT_EQ(a.max_stretch.count(), b.max_stretch.count());
+    EXPECT_EQ(a.max_stretch.mean(), b.max_stretch.mean());
+    EXPECT_EQ(a.max_stretch.stddev(), b.max_stretch.stddev());
+    EXPECT_EQ(a.mean_stretch.mean(), b.mean_stretch.mean());
+    EXPECT_EQ(a.reassignments.mean(), b.reassignments.mean());
+    EXPECT_EQ(a.events.mean(), b.events.mean());
+    EXPECT_EQ(a.stretch_sketch.count(), b.stretch_sketch.count());
+    EXPECT_EQ(a.stretch_sketch.sum(), b.stretch_sketch.sum());
+    EXPECT_EQ(a.stretch_sketch.quantile(0.99),
+              b.stretch_sketch.quantile(0.99));
+    EXPECT_EQ(a.flow_sketch.quantile(0.5), b.flow_sketch.quantile(0.5));
+    EXPECT_EQ(a.queue_depth_sketch.max(), b.queue_depth_sketch.max());
   }
+}
+
+TEST(Sweep, MatchesSerialRunPolicyReference) {
+  // A multi-policy, multi-replication point on several threads, with
+  // validation on (replication 0 takes the record+validate path).
+  const auto factory = [](std::uint64_t seed) { return tiny_instance(seed); };
+  const std::vector<std::string> policies = {"srpt", "greedy", "ssf-edf"};
+  SweepOptions options;
+  options.replications = 6;
+  options.threads = 3;
+  options.point_index = 2;
+
+  const SweepPointResult got = run_sweep_point("p", factory, policies, options);
+  const SweepPointResult want =
+      serial_sweep_point("p", factory, policies, options);
+  expect_same_aggregates(got, want, policies);
+}
+
+TEST(Sweep, FaultFactoryMatchesSerialRunPolicyReference) {
+  // A per-replication fault plan: every policy of a replication faces the
+  // same plan, and the validator of replication 0 checks the schedule
+  // against the plan re-derived from the replication's seed.
+  const auto factory = [](std::uint64_t seed) { return tiny_instance(seed); };
+  const std::vector<std::string> policies = {"srpt", "failover-srpt"};
+  SweepOptions options;
+  options.replications = 5;
+  options.threads = 2;
+  options.point_index = 1;
+  const SweepPointResult fault_free =
+      run_sweep_point("f", factory, policies, options);
+  options.fault_factory = [](const Instance& instance, std::uint64_t seed) {
+    FaultConfig cfg;
+    cfg.crash_rate = 0.02;
+    cfg.mean_repair = 5.0;
+    cfg.loss_rate = 0.05;
+    cfg.horizon = 200.0;
+    Rng rng(derive_seed(seed, hash_tag("faults")));
+    return make_fault_plan(instance.platform.cloud_count(), cfg, rng);
+  };
+
+  const SweepPointResult got = run_sweep_point("f", factory, policies, options);
+  const SweepPointResult want =
+      serial_sweep_point("f", factory, policies, options);
+  expect_same_aggregates(got, want, policies);
+  // Not vacuous: the faults changed the runs.
+  EXPECT_NE(got.policy("srpt").events.mean(),
+            fault_free.policy("srpt").events.mean());
 }
 
 TEST(Report, TableAlignmentAndCsv) {

@@ -104,7 +104,8 @@ TEST(ListAssign, OnlyImmediateStartersGetExplicitTargets) {
     states.back().best_time = instance.platform.best_time(job);
     states.back().released = true;
   }
-  const SimView view(instance, states, 0.0);
+  const soa::StatePool pool = pool_of(states);
+  const SimView view(instance, pool, 0.0);
   const std::vector<Directive> directives = list_assign_directives(
       view, {{0, 1.0}, {1, 2.0}, {2, 3.0}});
   ASSERT_EQ(directives.size(), 3u);
@@ -204,7 +205,8 @@ TEST(ListAssignSaturation, SaturatedAtTheFirstJob) {
     states.push_back(make_state(instance.platform, job));
     live.push_back(job.id);
   }
-  const SimView view(instance, states, 0.0);
+  const soa::StatePool pool = pool_of(states);
+  const SimView view(instance, pool, 0.0);
   const std::vector<OrderedJob> order = scrambled_order(live, 1);
   ASSERT_EQ(saturation_point(view, order), 0U);
   expect_list_assign_matches_reference(view, order);
@@ -212,7 +214,8 @@ TEST(ListAssignSaturation, SaturatedAtTheFirstJob) {
 
 TEST(ListAssignSaturation, SaturatedMidOrderOnThePaperPlatform) {
   const PaperDecideScenario scenario(1000);
-  const SimView view(scenario.instance, scenario.states, scenario.now,
+  const soa::StatePool pool = pool_of(scenario.states);
+  const SimView view(scenario.instance, pool, scenario.now,
                      &scenario.live);
   for (const std::uint32_t seed : {1U, 2U}) {
     const std::vector<OrderedJob> order = scrambled_order(scenario.live, seed);
@@ -226,7 +229,8 @@ TEST(ListAssignSaturation, SaturatedMidOrderOnThePaperPlatform) {
 TEST(ListAssignSaturation, NeverSaturatedWithFewerJobsThanCpus) {
   // 30 jobs cannot keep 40 CPUs busy.
   const PaperDecideScenario scenario(30);
-  const SimView view(scenario.instance, scenario.states, scenario.now,
+  const soa::StatePool pool = pool_of(scenario.states);
+  const SimView view(scenario.instance, pool, scenario.now,
                      &scenario.live);
   const std::vector<OrderedJob> order = scrambled_order(scenario.live, 3);
   ASSERT_EQ(saturation_point(view, order), order.size());
@@ -247,7 +251,8 @@ TEST(ListAssignSaturation, CloudOutagesStayExact) {
     if (k % 4 == 0) outages.add(now - 1.0, now + 5.0 + k);
     if (k % 3 == 0) outages.add(now + 20.0, now + 40.0);
   }
-  const SimView view(scenario.instance, scenario.states, now,
+  const soa::StatePool pool = pool_of(scenario.states);
+  const SimView view(scenario.instance, pool, now,
                      &scenario.live);
   const std::vector<OrderedJob> order = scrambled_order(scenario.live, 4);
   ASSERT_LT(saturation_point(view, order), order.size());
@@ -259,7 +264,8 @@ TEST(ListAssignSaturation, SaturatedClockStaysSaturatedUnderCommits) {
   // targets and to arbitrary ones: the clock stays saturated and no job
   // can start on any target.
   const PaperDecideScenario scenario(1000);
-  const SimView view(scenario.instance, scenario.states, scenario.now,
+  const soa::StatePool pool = pool_of(scenario.states);
+  const SimView view(scenario.instance, pool, scenario.now,
                      &scenario.live);
   const Platform& platform = scenario.instance.platform;
   const std::vector<OrderedJob> order = scrambled_order(scenario.live, 5);

@@ -4,15 +4,25 @@
 // numeric span — the old dense window map grew with (max id - min live id),
 // which a single long-running job under churn blows up to O(n). The fuzz
 // suites drive insert/erase/find against std::unordered_map as the oracle.
+// The StatePool cases pin the AoS read cache behind SimView::state() /
+// states(): it mirrors the components, goes stale only on
+// invalidate_view(), and costs nothing when nobody reads it.
 #include "sim/soa.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
+#include <span>
+#include <string>
 #include <unordered_map>
+#include <memory>
 #include <vector>
 
+#include "paper_scenario.hpp"
+#include "sched/factory.hpp"
+#include "sim/arrivals.hpp"
+#include "sim/engine_core.hpp"
 #include "util/rng.hpp"
 
 namespace ecs {
@@ -166,6 +176,164 @@ TEST(LiveIndex, GrowExtendsSlotRange) {
   ASSERT_EQ(live.size(), 1u);
   EXPECT_EQ(live.begin()->id, 1);
   EXPECT_EQ(live.begin()->slot, 1);
+}
+
+
+void expect_same_state(const JobState& got, const JobState& want) {
+  EXPECT_EQ(got.job.id, want.job.id);
+  EXPECT_EQ(got.job.origin, want.job.origin);
+  EXPECT_EQ(got.job.work, want.job.work);
+  EXPECT_EQ(got.job.release, want.job.release);
+  EXPECT_EQ(got.best_time, want.best_time);
+  EXPECT_EQ(got.alloc, want.alloc);
+  EXPECT_EQ(got.rem_up, want.rem_up);
+  EXPECT_EQ(got.rem_work, want.rem_work);
+  EXPECT_EQ(got.rem_down, want.rem_down);
+  EXPECT_EQ(got.active, want.active);
+  EXPECT_EQ(got.rate, want.rate);
+  EXPECT_EQ(got.last_update, want.last_update);
+  EXPECT_EQ(got.was_active, want.was_active);
+  EXPECT_EQ(got.released, want.released);
+  EXPECT_EQ(got.done, want.done);
+  EXPECT_EQ(got.completion, want.completion);
+  EXPECT_EQ(got.reassignments, want.reassignments);
+}
+
+TEST(StatePool, PoolBackedViewReadsLikeItsStates) {
+  PaperDecideScenario scenario(60);
+  // Exercise every field, not only the ones the scenario sets.
+  for (std::size_t i = 0; i < scenario.states.size(); ++i) {
+    JobState& s = scenario.states[i];
+    s.active = static_cast<Activity>(i % 4);
+    s.rate = 0.5 + static_cast<double>(i);
+    s.last_update = 0.25 * static_cast<double>(i);
+    s.was_active = i % 3 == 0;
+    s.done = i % 7 == 0;
+    s.completion = s.done ? 100.0 + static_cast<double>(i) : -1.0;
+    s.reassignments = static_cast<int>(i % 5);
+  }
+  const soa::StatePool pool = pool_of(scenario.states);
+  const SimView view(scenario.instance, pool, scenario.now);
+  ASSERT_EQ(view.state_count(), scenario.states.size());
+
+  for (const JobState& want : scenario.states) {
+    const JobId id = want.job.id;
+    const JobFields got = view.fields(id);
+    const JobFields expected = fields_of(want);
+    EXPECT_EQ(got.job->id, expected.job->id);
+    EXPECT_EQ(got.best_time, expected.best_time);
+    EXPECT_EQ(got.alloc, expected.alloc);
+    EXPECT_EQ(got.rem_up, expected.rem_up);
+    EXPECT_EQ(got.rem_work, expected.rem_work);
+    EXPECT_EQ(got.rem_down, expected.rem_down);
+    expect_same_state(view.state(id), want);
+  }
+  const std::vector<JobState>& all = view.states();
+  ASSERT_EQ(all.size(), scenario.states.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    expect_same_state(all[i], scenario.states[i]);
+  }
+  // The fallback live list comes from the pool: released and not done.
+  std::vector<JobId> live;
+  for (const JobState& s : scenario.states) {
+    if (s.live()) live.push_back(s.job.id);
+  }
+  const std::span<const JobId> got_live = view.live_jobs();
+  EXPECT_EQ(std::vector<JobId>(got_live.begin(), got_live.end()), live);
+}
+
+TEST(StatePool, ComponentWritesShowAfterInvalidate) {
+  const PaperDecideScenario scenario(8);
+  soa::StatePool pool = pool_of(scenario.states);
+  const SimView view(scenario.instance, pool, scenario.now);
+  const double before = view.state(3).rem_work;
+  ASSERT_EQ(view.states()[3].rem_work, before);
+
+  pool.rem_work(3) = before + 1.0;
+  pool.alloc(5) = kAllocEdge;
+  // The cache holds the entries published in this epoch...
+  EXPECT_EQ(view.state(3).rem_work, before);
+  // ...and republishes them after the next invalidation.
+  pool.invalidate_view();
+  EXPECT_EQ(view.state(3).rem_work, before + 1.0);
+  EXPECT_EQ(view.states()[5].alloc, kAllocEdge);
+  EXPECT_EQ(view.states()[3].rem_work, before + 1.0);
+
+  pool.rem_down(5) = 42.0;
+  pool.invalidate_view();
+  EXPECT_EQ(view.states()[5].rem_down, 42.0);
+}
+
+TEST(StatePool, StatesSpanEverySlotAfterResetAndGrow) {
+  const PaperDecideScenario scenario(10);
+  soa::StatePool pool = pool_of(scenario.states);
+  const SimView view(scenario.instance, pool, scenario.now);
+  ASSERT_EQ(view.states().size(), 10U);
+
+  pool.reset(4);  // smaller: the cache must not show the old tail
+  EXPECT_EQ(view.states().size(), pool.size());
+  for (const JobState& s : view.states()) {
+    EXPECT_FALSE(s.released);  // reset slots, not the old states
+  }
+
+  const std::int32_t slot = pool.grow();
+  pool.released(slot) = 1;
+  EXPECT_EQ(view.states().size(), pool.size());
+  EXPECT_TRUE(view.states()[static_cast<std::size_t>(slot)].released);
+  EXPECT_TRUE(view.state(slot).released);
+
+  pool.reset(0);
+  EXPECT_TRUE(view.states().empty());
+  pool.grow();
+  EXPECT_EQ(view.state(0).alloc, kAllocUnassigned);
+  EXPECT_EQ(view.states().size(), 1U);
+}
+
+/// Forwards to a factory policy and remembers the pool its views read.
+class PoolProbe final : public Policy {
+ public:
+  explicit PoolProbe(const std::string& name) : inner_(make_policy(name)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  void reset(const Instance& instance) override { inner_->reset(instance); }
+  void decide(const SimView& view, const std::vector<Event>& events,
+              std::vector<Directive>& out) override {
+    pool = &view.pool();
+    inner_->decide(view, events, out);
+  }
+
+  const soa::StatePool* pool = nullptr;
+
+ private:
+  std::unique_ptr<Policy> inner_;
+};
+
+TEST(StatePool, RunsThatNeverReadStatesLeaveTheCacheUnsized) {
+  RandomInstanceConfig cfg;
+  cfg.n = 200;
+  cfg.load = 0.5;
+  Rng rng(7);
+  const Instance instance = make_random_instance(cfg, rng);
+  Instance base;
+  base.platform = instance.platform;
+
+  for (const char* name : {"greedy", "srpt", "ssf-edf", "fcfs",
+                           "edge-only", "failover-srpt"}) {
+    SCOPED_TRACE(name);
+    for (const bool streaming : {false, true}) {
+      PoolProbe probe(name);
+      InstanceArrivalStream arrivals(instance);
+      detail::EngineCore core;
+      probe.reset(streaming ? base : instance);
+      core.prepare(streaming ? base : instance,
+                   streaming ? &arrivals : nullptr, probe, EngineConfig{});
+      const SimResult result = core.run();
+      ASSERT_EQ(result.stats.completed, instance.jobs.size());
+      ASSERT_NE(probe.pool, nullptr);
+      EXPECT_GT(probe.pool->size(), 0U);
+      EXPECT_EQ(probe.pool->cached_slots(), 0U);
+    }
+  }
 }
 
 }  // namespace
