@@ -327,8 +327,7 @@ TEST_P(PaperDecideEquivalence, Live1000DirectivesMatchReference) {
   const std::string& policy_name = GetParam();
   const PaperDecideScenario scenario(1000);
   const soa::StatePool pool = pool_of(scenario.states);
-  const SimView view(scenario.instance, pool, scenario.now,
-                     &scenario.live);
+  const SimView view(scenario.instance, pool, scenario.now, &scenario.live);
 
   const auto optimized = make_policy(policy_name);
   const auto reference = ref::make_reference_policy(policy_name);

@@ -215,8 +215,7 @@ TEST(ListAssignSaturation, SaturatedAtTheFirstJob) {
 TEST(ListAssignSaturation, SaturatedMidOrderOnThePaperPlatform) {
   const PaperDecideScenario scenario(1000);
   const soa::StatePool pool = pool_of(scenario.states);
-  const SimView view(scenario.instance, pool, scenario.now,
-                     &scenario.live);
+  const SimView view(scenario.instance, pool, scenario.now, &scenario.live);
   for (const std::uint32_t seed : {1U, 2U}) {
     const std::vector<OrderedJob> order = scrambled_order(scenario.live, seed);
     const std::size_t point = saturation_point(view, order);
@@ -230,8 +229,7 @@ TEST(ListAssignSaturation, NeverSaturatedWithFewerJobsThanCpus) {
   // 30 jobs cannot keep 40 CPUs busy.
   const PaperDecideScenario scenario(30);
   const soa::StatePool pool = pool_of(scenario.states);
-  const SimView view(scenario.instance, pool, scenario.now,
-                     &scenario.live);
+  const SimView view(scenario.instance, pool, scenario.now, &scenario.live);
   const std::vector<OrderedJob> order = scrambled_order(scenario.live, 3);
   ASSERT_EQ(saturation_point(view, order), order.size());
   expect_list_assign_matches_reference(view, order);
@@ -252,8 +250,7 @@ TEST(ListAssignSaturation, CloudOutagesStayExact) {
     if (k % 3 == 0) outages.add(now + 20.0, now + 40.0);
   }
   const soa::StatePool pool = pool_of(scenario.states);
-  const SimView view(scenario.instance, pool, now,
-                     &scenario.live);
+  const SimView view(scenario.instance, pool, now, &scenario.live);
   const std::vector<OrderedJob> order = scrambled_order(scenario.live, 4);
   ASSERT_LT(saturation_point(view, order), order.size());
   expect_list_assign_matches_reference(view, order);
@@ -265,8 +262,7 @@ TEST(ListAssignSaturation, SaturatedClockStaysSaturatedUnderCommits) {
   // can start on any target.
   const PaperDecideScenario scenario(1000);
   const soa::StatePool pool = pool_of(scenario.states);
-  const SimView view(scenario.instance, pool, scenario.now,
-                     &scenario.live);
+  const SimView view(scenario.instance, pool, scenario.now, &scenario.live);
   const Platform& platform = scenario.instance.platform;
   const std::vector<OrderedJob> order = scrambled_order(scenario.live, 5);
   const std::size_t point = saturation_point(view, order);
