@@ -60,13 +60,13 @@ class MetricsRegistry;
 /// run's wall time. Documented in docs/OBSERVABILITY.md.
 enum class EnginePhase : std::uint8_t {
   kPrepare,      ///< prepare()/init(): state reset, release sort, timelines
-  kDecide,       ///< live-list rebuild, elision check, policy decide()
-  kAllocate,     ///< interval close, retire flush, directive application
-  kActivate,     ///< priority arbitration + active-set sort
+  kDecide,       ///< live-list sync, elision check, policy decide()
+  kAllocate,     ///< interval close, retire flush, directives (1 lookup each)
+  kActivate,     ///< priority arbitration (no sort of the active set)
   kEmit,         ///< queue-depth accounting, trace/metrics counter samples
   kEventScan,    ///< heap-free min-scan + next-event selection
   kAdvance,      ///< StatePool::advance_active progress kernel
-  kCompletions,  ///< completion detection + retirement bookkeeping
+  kCompletions,  ///< completion detection, fired-batch id sort, retirement
   kFaults,       ///< fault-timeline processing (crashes, losses, repairs)
   kAdmission,    ///< release firing, admission control, progress watchdog
   kFinish,       ///< finish_into(): result harvest + metrics flush

@@ -37,6 +37,12 @@ namespace {
   return obs::TracePoint::kExec;
 }
 
+/// Orders (id, slot) entries by job id.
+[[nodiscard]] bool id_less(const soa::LiveIndex::Entry& a,
+                           const soa::LiveIndex::Entry& b) noexcept {
+  return a.id < b.id;
+}
+
 }  // namespace
 
 EngineInstruments::EngineInstruments(obs::MetricsRegistry& registry)
@@ -136,7 +142,11 @@ void EngineCore::init() {
   abandoned_runs_.clear();
   active_ids_.clear();
   live_sorted_.clear();
+  live_slots_.clear();
+  live_added_.clear();
+  live_erased_ = false;
   victims_.clear();
+  fired_.clear();
   order_.clear();
   directives_.clear();
   boundaries_.clear();
@@ -155,7 +165,6 @@ void EngineCore::init() {
   events_since_completion_ = 0;
   granted_ = 0;
   now_ = 0.0;
-  live_dirty_ = true;
   decided_once_ = false;
   membership_changed_ = true;
   elided_rounds_ = 0;
@@ -317,7 +326,7 @@ void EngineCore::admit(const Job& job) {
   const std::int32_t slot = acquire_slot(job);
   pool_.released(slot) = 1;
   live_.insert(job.id, slot);
-  mark_live_changed();
+  note_live_insert(job.id, slot);
   if (streaming_) ++remaining_jobs_;
   ++stats_.admitted;
   if (live_.size() > stats_.peak_live) {
@@ -497,7 +506,7 @@ void EngineCore::shed(JobId id, ReasonCode reason) {
     trace_->record(rec);
   }
   live_.erase(slot);
-  mark_live_changed();
+  note_live_erase();
   pool_.released(slot) = 0;  // expelled: live() is false from here on
   ++stats_.sheds;
   --remaining_jobs_;
@@ -595,8 +604,8 @@ void EngineCore::trace_directive(std::int32_t slot, int source, int target,
 /// these at EVERY event, so identical repeats are deduplicated: a keep is
 /// recorded when its resolved target or reason differs from the job's
 /// last emitted directive.
-void EngineCore::trace_keep_directive(const Directive& d) {
-  const std::int32_t slot = find_slot(d.job);
+void EngineCore::trace_keep_directive(std::int32_t slot,
+                                      const Directive& d) {
   if (slot < 0) return;
   if (!pool_.live(slot)) return;
   const int alloc = pool_.alloc(slot);
@@ -624,19 +633,77 @@ void EngineCore::step() {
   advance_to_next_event();
 }
 
+/// Brings the sorted live list up to date with the membership changes
+/// since the last round: the admitted entries (few, sorted by id here) are
+/// merged in from the back, then the erased ones are compacted out. An
+/// entry is current iff its slot is live and still holds its id — a shed
+/// slot can be recycled for a new arrival within the same batch. O(live +
+/// changes); nothing when membership did not change.
+void EngineCore::sync_live_list() {
+  if (!live_added_.empty()) {
+    if (!std::is_sorted(live_added_.begin(), live_added_.end(), id_less)) {
+      std::sort(live_added_.begin(), live_added_.end(), id_less);
+    }
+    std::size_t i = live_sorted_.size();
+    std::size_t j = live_added_.size();
+    std::size_t k = i + j;
+    live_sorted_.resize(k);
+    live_slots_.resize(k);
+    while (j > 0) {
+      --k;
+      if (i > 0 && live_sorted_[i - 1] > live_added_[j - 1].id) {
+        --i;
+        live_sorted_[k] = live_sorted_[i];
+        live_slots_[k] = live_slots_[i];
+      } else {
+        --j;
+        live_sorted_[k] = live_added_[j].id;
+        live_slots_[k] = live_added_[j].slot;
+      }
+    }
+    live_added_.clear();
+  }
+  if (live_erased_) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < live_sorted_.size(); ++i) {
+      const std::int32_t slot = live_slots_[i];
+      if (!pool_.live(slot) || pool_.job(slot).id != live_sorted_[i]) {
+        continue;
+      }
+      live_sorted_[kept] = live_sorted_[i];
+      live_slots_[kept] = slot;
+      ++kept;
+    }
+    live_sorted_.resize(kept);
+    live_slots_.resize(kept);
+    live_erased_ = false;
+  }
+  assert(live_list_matches_index());
+}
+
+/// The sorted live list equals the LiveIndex contents sorted by id, slots
+/// included: strictly ascending ids, as many entries as the index holds,
+/// and each entry's slot indexed and holding that id. O(live) and
+/// allocation-free, so assertion-enabled builds keep the engine's
+/// no-allocation stepping.
+bool EngineCore::live_list_matches_index() const {
+  if (live_sorted_.size() != live_.size()) return false;
+  for (std::size_t i = 0; i < live_sorted_.size(); ++i) {
+    const std::int32_t slot = live_slots_[i];
+    if ((i > 0 && live_sorted_[i - 1] >= live_sorted_[i]) ||
+        !live_.contains(slot) || pool_.job(slot).id != live_sorted_[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void EngineCore::decide_and_activate() {
   // 1. Ask the policy what to do about the events that just fired. The
-  //    sorted live index gives SimView::live_jobs() in O(live) and, below,
+  //    sorted live list gives SimView::live_jobs() in O(live) and, below,
   //    the id-ordered implicit-keep walk the old full-state scan provided.
-  //    Rebuilt lazily: rounds that left membership alone reuse the list.
-  if (live_dirty_) {
-    live_sorted_.clear();
-    for (const soa::LiveIndex::Entry& e : live_) {
-      live_sorted_.push_back(e.id);
-    }
-    std::sort(live_sorted_.begin(), live_sorted_.end());
-    live_dirty_ = false;
-  }
+  //    Rounds that left membership alone find it already current.
+  sync_live_list();
   // No-op round elision (ElisionContract, DESIGN.md §8): when no event of
   // this batch is in the policy's trigger set, decide() provably would emit
   // nothing (kEmpty) or re-emit the previous round's directives verbatim
@@ -702,7 +769,7 @@ void EngineCore::decide_and_activate() {
                   static_cast<double>(directives.size()));
   }
   events_.clear();
-  // kDecide covers the live-list rebuild, the elision check and decide()
+  // kDecide covers the live-list sync, the elision check and decide()
   // itself; the lap also feeds the per-policy decision-latency sketch.
   // Elided rounds are observed too — elision is a real latency win and
   // belongs in the distribution (ProfileReport::elided_rounds separates
@@ -729,12 +796,19 @@ void EngineCore::decide_and_activate() {
   // completion events above, so nothing references the slots any more.
   if (streaming_ && !retire_queue_.empty()) flush_retired();
 
-  // 3. Apply allocation changes (the re-execution rule).
+  // 3. Apply allocation changes (the re-execution rule). Each directive's
+  //    slot is looked up here, once; directives for live jobs enter the
+  //    arbitration order carrying it.
   {
     const obs::ScopeTimer timer(
         metrics_, metrics_ != nullptr ? ids_->phase_allocate : 0);
+    order_.clear();
     for (const Directive& d : directives) {
-      apply_directive(d);
+      const std::int32_t slot = find_slot(d.job);
+      apply_directive(d, slot);
+      if (slot >= 0 && pool_.live(slot)) {
+        order_.push_back(Ranked{d.priority, d.job, slot});
+      }
     }
   }
   if (profiler_ != nullptr) profiler_->lap(obs::EnginePhase::kAllocate);
@@ -749,32 +823,22 @@ void EngineCore::decide_and_activate() {
     if (directives.empty()) {
       // Fast path: no explicit directives means every live job is an
       // implicit keep with the same kTimeInfinity key, whose (key, id)
-      // sort is exactly ascending id — i.e. live_sorted_ as-is. Skip the
+      // sort is exactly ascending id — i.e. the live list as-is. Skip the
       // order buffer and the sort altogether.
       busy_.clear();
-      for (const JobId id : live_sorted_) {
-        try_activate(find_slot(id));
-      }
+      for (const std::int32_t slot : live_slots_) try_activate(slot);
     } else {
-      order_.clear();
-      for (const Directive& d : directives) {
-        const std::int32_t slot = find_slot(d.job);
-        if (slot >= 0 && pool_.live(slot)) {
-          order_.push_back({d.priority, d.job});
-        }
-      }
       // Round stamps replace a per-round O(n) boolean reset: a job is
       // "seen" iff its stamp equals the current round's.
       if (++round_ == 0) {  // wrap: old stamps could collide, wipe them
         seen_round_.assign(seen_round_.size(), 0);
         round_ = 1;
       }
-      for (const auto& [prio, id] : order_) {
-        seen_round_[find_slot(id)] = round_;
-      }
-      for (const JobId id : live_sorted_) {
-        if (seen_round_[find_slot(id)] != round_) {
-          order_.push_back({kTimeInfinity, id});
+      for (const Ranked& r : order_) seen_round_[r.slot] = round_;
+      for (std::size_t i = 0; i < live_sorted_.size(); ++i) {
+        const std::int32_t slot = live_slots_[i];
+        if (seen_round_[slot] != round_) {
+          order_.push_back(Ranked{kTimeInfinity, live_sorted_[i], slot});
         }
       }
       // (priority, id) pairs only tie when they are fully identical
@@ -782,29 +846,16 @@ void EngineCore::decide_and_activate() {
       // stable sort would — without libstdc++'s temporary buffer. Rank-
       // priority policies (greedy, srpt, ssf-edf, fcfs) emit the order
       // already sorted in practice, so check before sorting.
-      const auto before = [](const auto& a, const auto& b) {
-        return a.first != b.first ? a.first < b.first : a.second < b.second;
+      const auto before = [](const Ranked& a, const Ranked& b) {
+        return a.priority != b.priority ? a.priority < b.priority
+                                        : a.id < b.id;
       };
       if (!std::is_sorted(order_.begin(), order_.end(), before)) {
         std::sort(order_.begin(), order_.end(), before);
       }
 
       busy_.clear();
-      for (const auto& [prio, id] : order_) {
-        try_activate(find_slot(id));
-      }
-    }
-    // Completions must fire in job-id order (policies and traces observe
-    // the event order), so keep the active set id-sorted between rounds.
-    // Slots are not id-ordered in streaming mode, hence the comparator;
-    // in materialized mode slot == id, so a plain value sort suffices.
-    if (streaming_) {
-      std::sort(active_ids_.begin(), active_ids_.end(),
-                [this](std::int32_t a, std::int32_t b) {
-                  return pool_.job(a).id < pool_.job(b).id;
-                });
-    } else {
-      std::sort(active_ids_.begin(), active_ids_.end());
+      for (const Ranked& r : order_) try_activate(r.slot);
     }
   }
   if (profiler_ != nullptr) profiler_->lap(obs::EnginePhase::kActivate);
@@ -827,8 +878,7 @@ void EngineCore::sample_counters(std::uint64_t waiting) {
   trace_counter(obs::TracePoint::kReadyQueueDepth,
                 static_cast<double>(waiting));
   double live_max = stats_.max_stretch;
-  for (const JobId id : live_sorted_) {
-    const std::int32_t slot = find_slot(id);
+  for (const std::int32_t slot : live_slots_) {
     const double best = pool_.best_time(slot);
     const double denom = best > 0.0 ? best : 1.0;
     live_max = std::max(live_max, (now_ - pool_.job(slot).release) / denom);
@@ -852,11 +902,12 @@ void EngineCore::sample_counters(std::uint64_t waiting) {
   }
 }
 
-void EngineCore::apply_directive(const Directive& d) {
+/// `slot` is find_slot(d.job), resolved once by the caller.
+void EngineCore::apply_directive(const Directive& d, std::int32_t slot) {
   if (d.target == kTargetKeep) {
     // Keeps skip all validation (a keep for a finished or unknown job is
     // harmless); provenance still wants the deduplicated decision.
-    if (provenance_on_) trace_keep_directive(d);
+    if (provenance_on_) trace_keep_directive(slot, d);
     return;
   }
   if (d.job < 0 ||
@@ -866,7 +917,6 @@ void EngineCore::apply_directive(const Directive& d) {
                              " issued a directive for unknown job " +
                              std::to_string(d.job));
   }
-  const std::int32_t slot = find_slot(d.job);
   if (slot < 0) return;  // streaming: retired or rejected, stale directive
   if (!pool_.live(slot)) return;
   if (d.target != kAllocEdge &&
@@ -877,7 +927,7 @@ void EngineCore::apply_directive(const Directive& d) {
                              std::to_string(d.job));
   }
   if (d.target == pool_.alloc(slot)) {
-    if (provenance_on_) trace_keep_directive(d);
+    if (provenance_on_) trace_keep_directive(slot, d);
     return;
   }
   if (provenance_on_) trace_directive(slot, pool_.alloc(slot), d.target, d);
@@ -1028,21 +1078,8 @@ Time EngineCore::activity_end(std::int32_t slot) const {
   // 1.0 for transfers — so one select + one divide covers all three kinds
   // (x / 1.0 is exact in IEEE arithmetic, keeping transfer end times
   // bit-identical to the historical now_ + rem form).
-  double rem;
-  switch (pool_.active(slot)) {
-    case Activity::kUplink:
-      rem = pool_.rem_up(slot);
-      break;
-    case Activity::kCompute:
-      rem = pool_.rem_work(slot);
-      break;
-    case Activity::kDownlink:
-      rem = pool_.rem_down(slot);
-      break;
-    case Activity::kNone:
-      return kTimeInfinity;
-  }
-  return now_ + clamp_amount(rem) / pool_.rate(slot);
+  if (pool_.active(slot) == Activity::kNone) return kTimeInfinity;
+  return now_ + clamp_amount(pool_.active_remaining(slot)) / pool_.rate(slot);
 }
 
 void EngineCore::advance_to_next_event() {
@@ -1085,66 +1122,59 @@ void EngineCore::advance_to_next_event() {
   now_ = next;
   if (profiler_ != nullptr) profiler_->lap(obs::EnginePhase::kAdvance);
 
-  // Fire completions. active_ids_ is id-sorted, so completion events are
-  // emitted in job-id order — the order policies and traces observe.
-  bool job_completed = false;
+  // Fire completions. Detection walks the active set in grant order; what
+  // fired is then handled in job-id order, the order policies and traces
+  // observe and the order completed slots are queued for retirement.
+  fired_.clear();
   for (const std::int32_t slot : active_ids_) {
-    const Activity active = pool_.active(slot);
-    if (active == Activity::kNone) continue;
-    const JobId id = pool_.job(slot).id;
-    bool fired = false;
-    switch (active) {
+    if (pool_.active(slot) != Activity::kNone &&
+        amount_done(pool_.active_remaining(slot))) {
+      fired_.push_back(soa::LiveIndex::Entry{pool_.job(slot).id, slot});
+    }
+  }
+  std::sort(fired_.begin(), fired_.end(), id_less);
+  bool job_completed = false;
+  for (const auto& [id, slot] : fired_) {
+    switch (pool_.active(slot)) {
       case Activity::kUplink:
-        if (amount_done(pool_.rem_up(slot))) {
-          pool_.rem_up(slot) = 0.0;
-          events_.push_back(Event{EventKind::kUplinkDone, id, now_});
-          fired = true;
-        }
+        pool_.rem_up(slot) = 0.0;
+        events_.push_back(Event{EventKind::kUplinkDone, id, now_});
         break;
       case Activity::kCompute:
-        if (amount_done(pool_.rem_work(slot))) {
-          pool_.rem_work(slot) = 0.0;
-          events_.push_back(Event{EventKind::kComputeDone, id, now_});
-          fired = true;
-        }
+        pool_.rem_work(slot) = 0.0;
+        events_.push_back(Event{EventKind::kComputeDone, id, now_});
         break;
       case Activity::kDownlink:
-        if (amount_done(pool_.rem_down(slot))) {
-          pool_.rem_down(slot) = 0.0;
-          events_.push_back(Event{EventKind::kDownlinkDone, id, now_});
-          fired = true;
-        }
+        pool_.rem_down(slot) = 0.0;
+        events_.push_back(Event{EventKind::kDownlinkDone, id, now_});
         break;
       case Activity::kNone:
         break;
     }
-    if (fired) {
-      if (record_schedule_) recorders_[slot].close(now_);
-      pool_.active(slot) = Activity::kNone;
-      if (trace_ != nullptr) trace_close_span(slot);
-      if (pool_.all_amounts_done(slot)) {
-        pool_.done(slot) = 1;
-        job_completed = true;
-        live_.erase(slot);
-        mark_live_changed();
-        pool_.completion(slot) = now_;
-        --remaining_jobs_;
-        ++stats_.completed;
-        const double best = pool_.best_time(slot);
-        const double denom = best > 0.0 ? best : 1.0;
-        const double stretch = (now_ - pool_.job(slot).release) / denom;
-        stats_.max_stretch = std::max(stats_.max_stretch, stretch);
-        if (metrics_ != nullptr) {
-          metrics_->observe(ids_->stretch, stretch);
-        }
-        if (trace_ != nullptr) {
-          trace_instant(obs::TracePoint::kCompletion, slot, -1, stretch);
-        }
-        // Retirement is deferred to the next decision round: the policy
-        // must still see this completion event with the state attached.
-        if (streaming_) retire_queue_.push_back(slot);
-      }
+    if (record_schedule_) recorders_[slot].close(now_);
+    pool_.active(slot) = Activity::kNone;
+    if (trace_ != nullptr) trace_close_span(slot);
+    if (!pool_.all_amounts_done(slot)) continue;
+    pool_.done(slot) = 1;
+    job_completed = true;
+    live_.erase(slot);
+    note_live_erase();
+    pool_.completion(slot) = now_;
+    --remaining_jobs_;
+    ++stats_.completed;
+    const double best = pool_.best_time(slot);
+    const double denom = best > 0.0 ? best : 1.0;
+    const double stretch = (now_ - pool_.job(slot).release) / denom;
+    stats_.max_stretch = std::max(stats_.max_stretch, stretch);
+    if (metrics_ != nullptr) {
+      metrics_->observe(ids_->stretch, stretch);
     }
+    if (trace_ != nullptr) {
+      trace_instant(obs::TracePoint::kCompletion, slot, -1, stretch);
+    }
+    // Retirement is deferred to the next decision round: the policy
+    // must still see this completion event with the state attached.
+    if (streaming_) retire_queue_.push_back(slot);
   }
   if (profiler_ != nullptr) profiler_->lap(obs::EnginePhase::kCompletions);
   fire_faults();
@@ -1205,9 +1235,7 @@ void EngineCore::advance_to_next_event() {
 /// for the stall / event-cap diagnostics. Capped at 8 entries.
 std::string EngineCore::describe_live_jobs() const {
   std::vector<soa::LiveIndex::Entry> live(live_.begin(), live_.end());
-  std::sort(live.begin(), live.end(),
-            [](const soa::LiveIndex::Entry& a,
-               const soa::LiveIndex::Entry& b) { return a.id < b.id; });
+  std::sort(live.begin(), live.end(), id_less);
   std::ostringstream os;
   int shown = 0;
   for (const soa::LiveIndex::Entry& e : live) {
@@ -1319,8 +1347,9 @@ void EngineCore::corrupt_in_flight_message(const FaultSpec& spec) {
   const Activity hit = spec.kind == FaultKind::kUplinkLoss
                            ? Activity::kUplink
                            : Activity::kDownlink;
-  // Only an active job can be mid-transmission; active_ids_ is id-sorted,
-  // so the first match is the lowest id, as with the old full scan.
+  // Only an active job can be mid-transmission, and one-port admits at
+  // most one message per direction of a cloud's link: at most one match,
+  // so the active set's order does not matter.
   for (const std::int32_t slot : active_ids_) {
     if (pool_.alloc(slot) != spec.cloud || pool_.active(slot) != hit) {
       continue;

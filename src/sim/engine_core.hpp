@@ -9,6 +9,13 @@
 // steady-state allocations per replication. simulate() uses a throwaway
 // core; BatchEngine keeps one per world slot.
 //
+// A decision round pays for what changed, not for what is live: the
+// id-sorted live list is merged and compacted from the round's admissions
+// and departures (sync_live_list), each directive's slot is looked up once
+// and carried through arbitration, and the active set stays in grant order
+// — only the few activities that fire are sorted by id, which keeps event,
+// trace and retirement order exactly id-ordered (DESIGN.md §8).
+//
 // This header is internal (namespace ecs::detail): the supported entry
 // points remain simulate() / simulate_stream() / BatchEngine. Tests include
 // it to pin the reuse contract (a reused core is bit-identical to a fresh
@@ -229,12 +236,12 @@ class EngineCore {
                      double value);
   void trace_directive(std::int32_t slot, int source, int target,
                        const Directive& d);
-  void trace_keep_directive(const Directive& d);
+  void trace_keep_directive(std::int32_t slot, const Directive& d);
   void trace_counter(obs::TracePoint point, double value);
   void step();
   void decide_and_activate();
   void sample_counters(std::uint64_t waiting);
-  void apply_directive(const Directive& d);
+  void apply_directive(const Directive& d, std::int32_t slot);
   void note_preemption(std::int32_t slot);
   void try_activate(std::int32_t slot);
   [[nodiscard]] Time activity_end(std::int32_t slot) const;
@@ -272,17 +279,24 @@ class EngineCore {
   SimStats stats_;
 
   // --- active-set core: everything the per-event hot path touches ---
-  /// Slots of jobs mid-activity, job-id-sorted per round (slot == id
-  /// outside streaming, so this is id-sorted there too).
+  /// Slots of jobs mid-activity, in grant order. Nothing that reads it
+  /// depends on its order: the completion pass sorts what fired by id.
   std::vector<std::int32_t> active_ids_;
   soa::LiveIndex live_;            ///< sparse-set (id, slot) live index
-  /// Sorted copy of the live ids, rebuilt lazily: any live-set mutation
-  /// sets live_dirty_ and the next decision round re-sorts once.
+  /// The live ids, ascending (what SimView::live_jobs() aliases), and the
+  /// slot of each entry alongside. Brought up to date once per decision
+  /// round by sync_live_list() from the batch of membership changes below:
+  /// O(live + changes), no re-sort.
   std::vector<JobId> live_sorted_;
-  bool live_dirty_ = true;
+  std::vector<std::int32_t> live_slots_;
+  std::vector<soa::LiveIndex::Entry> live_added_;  ///< admitted since sync
+  bool live_erased_ = false;  ///< a completion or shed since the last sync
   std::vector<std::uint32_t> seen_round_;     ///< round stamp per slot
   std::uint32_t round_ = 0;
   std::vector<JobId> victims_;  ///< scratch for crash-abort / shed collection
+  /// Activities that finished this event, sorted by id before any event,
+  /// trace record or retirement is issued for them.
+  std::vector<soa::LiveIndex::Entry> fired_;
 
   // --- no-op round elision (ElisionContract, see sim/policy.hpp) ---
   /// The policy's contract, cached per run; triggers always include
@@ -294,12 +308,19 @@ class EngineCore {
   bool membership_changed_ = true;
   std::uint64_t elided_rounds_ = 0;
 
-  /// Every live-set mutation funnels through here: the sorted live list
-  /// must be rebuilt and reuse-mode elision is off until the next decide().
-  void mark_live_changed() noexcept {
-    live_dirty_ = true;
+  /// Every live-set mutation funnels through these two: the change is
+  /// queued for the sorted live list, and reuse-mode elision is off until
+  /// the next decide().
+  void note_live_insert(JobId id, std::int32_t slot) {
+    live_added_.push_back(soa::LiveIndex::Entry{id, slot});
     membership_changed_ = true;
   }
+  void note_live_erase() noexcept {
+    live_erased_ = true;
+    membership_changed_ = true;
+  }
+  void sync_live_list();
+  [[nodiscard]] bool live_list_matches_index() const;
 
   // --- streaming mode (engaged iff streaming_) ---
   static constexpr std::int32_t kSlotRetired = -1;  ///< no state: id is done
@@ -320,8 +341,16 @@ class EngineCore {
   static constexpr std::uint64_t kStallFloor = 100'000;
   std::uint64_t events_since_completion_ = 0;
 
+  /// One arbitration entry: the directive's priority and job, with the
+  /// state slot resolved once when the directive is applied.
+  struct Ranked {
+    double priority;
+    JobId id;
+    std::int32_t slot;
+  };
+
   // Scratch buffers reused across decision rounds.
-  std::vector<std::pair<double, JobId>> order_;
+  std::vector<Ranked> order_;
   std::vector<Directive> directives_;  ///< policy output, reused per round
 
   // --- observability (null sinks = everything below stays idle) ---

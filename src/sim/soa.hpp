@@ -189,6 +189,21 @@ class StatePool {
     return Activity::kNone;
   }
 
+  /// Remaining amount of the activity slot `s` is running; 0 when idle.
+  [[nodiscard]] double active_remaining(std::int32_t s) const noexcept {
+    switch (active_[s]) {
+      case Activity::kUplink:
+        return rem_up_[s];
+      case Activity::kCompute:
+        return rem_work_[s];
+      case Activity::kDownlink:
+        return rem_down_[s];
+      case Activity::kNone:
+        break;
+    }
+    return 0.0;
+  }
+
   [[nodiscard]] bool all_amounts_done(std::int32_t s) const noexcept {
     if (alloc_[s] == kAllocEdge) return amount_done(rem_work_[s]);
     return amount_done(rem_up_[s]) && amount_done(rem_work_[s]) &&
@@ -346,6 +361,9 @@ class LiveIndex {
     pos_[slot] = -1;
   }
 
+  [[nodiscard]] bool contains(std::int32_t slot) const noexcept {
+    return pos_[slot] >= 0;
+  }
   [[nodiscard]] std::size_t size() const noexcept { return dense_.size(); }
   [[nodiscard]] bool empty() const noexcept { return dense_.empty(); }
   [[nodiscard]] const Entry* begin() const noexcept { return dense_.data(); }

@@ -18,7 +18,7 @@ TEST_P(DataFiles, LoadsValidatesAndSchedules) {
   const Instance instance = load_instance_file(path);
   EXPECT_TRUE(validate_instance(instance).empty());
   EXPECT_GT(instance.job_count(), 0);
-  for (const std::string& name : {"srpt", "ssf-edf"}) {
+  for (const char* name : {"srpt", "ssf-edf"}) {
     RunOptions options;
     options.validate = true;
     const RunOutcome outcome = run_policy(instance, name, options);
@@ -30,8 +30,8 @@ TEST_P(DataFiles, LoadsValidatesAndSchedules) {
 INSTANTIATE_TEST_SUITE_P(Shipped, DataFiles,
                          ::testing::Values("data/random_small.csv",
                                            "data/kang_small.csv"),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == '/' || c == '.') c = '_';
                            }

@@ -188,12 +188,12 @@ INSTANTIATE_TEST_SUITE_P(
                                          "ssf-edf", "fcfs",
                                          "failover-srpt"),
                        ::testing::Range(0, 4)),
-    [](const auto& info) {
-      std::string name = std::get<0>(info.param);
+    [](const auto& param_info) {
+      std::string name = std::get<0>(param_info.param);
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_seed" + std::to_string(std::get<1>(info.param));
+      return name + "_seed" + std::to_string(std::get<1>(param_info.param));
     });
 
 // ---------------------------------------------- elision invisibility matrix
@@ -271,12 +271,12 @@ INSTANTIATE_TEST_SUITE_P(
                                          "srpt-noreexec", "ssf-edf", "fcfs",
                                          "failover-srpt"),
                        ::testing::Range(0, 4)),
-    [](const auto& info) {
-      std::string name = std::get<0>(info.param);
+    [](const auto& param_info) {
+      std::string name = std::get<0>(param_info.param);
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_seed" + std::to_string(std::get<1>(info.param));
+      return name + "_seed" + std::to_string(std::get<1>(param_info.param));
     });
 
 // The matrix above proves elision is invisible; these two prove it is not

@@ -69,9 +69,9 @@ TEST_P(GoldenTimelines, CompletionVectorStable) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, GoldenTimelines,
                          ::testing::Range<std::size_t>(0, 5),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            std::string name =
-                               goldens().at(info.param).policy;
+                               goldens().at(param_info.param).policy;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

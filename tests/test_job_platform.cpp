@@ -66,12 +66,34 @@ TEST(Job, ValidateRejectsBadParameters) {
   EXPECT_FALSE(validate_job(Job{0, -1, 1.0, 0.0, 0.0, 0.0}, 2).empty());
 }
 
+// The exact wording of each check: callers (the CSV loader, the streaming
+// engine) pass these strings straight to the user.
+TEST(Job, ValidateMessagesAreExact) {
+  EXPECT_EQ(validate_job(Job{3, 0, 0.0, 0.0, 0.0, 0.0}, 1),
+            "job 3: work must exceed 1e-06 (the amount tolerance) and be "
+            "finite, got 0");
+  EXPECT_EQ(validate_job(Job{4, 0, 1.0, -1.5, 0.0, 0.0}, 1),
+            "job 4: release date must be >= 0 and finite, got -1.5");
+  EXPECT_EQ(validate_job(Job{5, 0, 1.0, 0.0, -0.25, 0.0}, 1),
+            "job 5: uplink time must be >= 0 and finite, got -0.25");
+  EXPECT_EQ(validate_job(Job{6, 0, 1.0, 0.0, 0.0, -2.0}, 1),
+            "job 6: downlink time must be >= 0 and finite, got -2");
+  EXPECT_EQ(validate_job(Job{7, 5, 1.0, 0.0, 0.0, 0.0}, 2),
+            "job 7: origin 5 out of range [0, 2)");
+  // Checks run in that order: the first failing one is reported.
+  EXPECT_EQ(validate_job(Job{8, -1, 1.0, -1.0, 0.0, 0.0}, 2),
+            "job 8: release date must be >= 0 and finite, got -1");
+}
+
 TEST(Instance, ValidateChecksIdsMatchPositions) {
   Instance instance;
   instance.platform = Platform({0.5}, 1);
   instance.jobs = {{1, 0, 1.0, 0.0, 0.0, 0.0}};  // id 1 at position 0
   const auto problems = validate_instance(instance);
   ASSERT_FALSE(problems.empty());
+  ASSERT_EQ(problems.size(), 1U);
+  EXPECT_EQ(problems[0],
+            "job at position 0 has id 1 (ids must equal positions)");
 }
 
 TEST(Instance, RequireValidThrowsWithAllProblems) {

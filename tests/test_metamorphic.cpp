@@ -66,10 +66,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          "ssf-edf", "fcfs"),
                        ::testing::Values(0.125, 8.0)),
     [](const ::testing::TestParamInfo<std::tuple<std::string, double>>&
-           info) {
-      std::string name = std::get<0>(info.param) + "_x" +
+           param_info) {
+      std::string name = std::get<0>(param_info.param) + "_x" +
                          std::to_string(static_cast<int>(
-                             std::get<1>(info.param) * 1000));
+                             std::get<1>(param_info.param) * 1000));
       for (char& c : name) {
         if (c == '-') c = '_';
       }

@@ -216,12 +216,12 @@ INSTANTIATE_TEST_SUITE_P(
                                          "srpt-noreexec", "ssf-edf", "fcfs",
                                          "failover-srpt"),
                        ::testing::Range(0, 5)),
-    [](const auto& info) {
-      std::string name = std::get<0>(info.param);
+    [](const auto& param_info) {
+      std::string name = std::get<0>(param_info.param);
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_seed" + std::to_string(std::get<1>(info.param));
+      return name + "_seed" + std::to_string(std::get<1>(param_info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -426,8 +426,8 @@ INSTANTIATE_TEST_SUITE_P(AllFactoryPolicies, ZeroAllocation,
                          ::testing::Values("edge-only", "greedy", "srpt",
                                            "srpt-noreexec", "ssf-edf",
                                            "fcfs", "failover-srpt"),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

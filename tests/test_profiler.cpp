@@ -227,7 +227,7 @@ void expect_same_variant(const Variant& a, const Variant& b) {
 // --- 1. A profiled run is bit-identical to an unprofiled one. -------------
 
 TEST(ProfilerInvisibility, ProfiledRunIsBitIdentical) {
-  for (const std::string& policy : {"srpt", "greedy", "fcfs"}) {
+  for (const std::string policy : {"srpt", "greedy", "fcfs"}) {
     for (int seed = 0; seed < 6; ++seed) {
       FaultPlan faults;
       const Instance instance = make_instance(seed, &faults);

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -186,12 +189,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("edge-only", "greedy", "srpt",
                                          "ssf-edf", "fcfs", "failover-srpt"),
                        ::testing::Range(0, 4)),
-    [](const auto& info) {
-      std::string name = std::get<0>(info.param);
+    [](const auto& param_info) {
+      std::string name = std::get<0>(param_info.param);
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_seed" + std::to_string(std::get<1>(info.param));
+      return name + "_seed" + std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(Streaming, SyntheticFamilyRunsAreDeterministic) {
@@ -478,6 +481,210 @@ TEST(StreamingSoak, MillionJobOverloadKeepsTheWorkingSetFlat) {
   EXPECT_EQ(result.schedule.job_count(), 0);
   EXPECT_TRUE(result.completions.empty());
   EXPECT_TRUE(result.admission_log.empty());
+}
+
+// ------------------------------------------------- round bookkeeping
+
+/// Emits the given jobs in the given order: any unique, non-negative ids
+/// with non-decreasing releases, which is all the stream contract asks.
+class ListStream final : public ArrivalStream {
+ public:
+  explicit ListStream(std::vector<Job> jobs) : jobs_(std::move(jobs)) {}
+  [[nodiscard]] std::string name() const override { return "list"; }
+  [[nodiscard]] std::optional<Job> next() override {
+    if (pos_ == jobs_.size()) return std::nullopt;
+    return jobs_[pos_++];
+  }
+
+ private:
+  std::vector<Job> jobs_;
+  std::size_t pos_ = 0;
+};
+
+/// Every job on its origin edge with the higher id more urgent, so grant
+/// order is the reverse of id order. Records each event batch and the
+/// state slot of every job an event names.
+class ReversedEdgePolicy final : public Policy {
+ public:
+  [[nodiscard]] std::string name() const override { return "reversed-edge"; }
+  void decide(const SimView& view, const std::vector<Event>& events,
+              std::vector<Directive>& out) override {
+    batches.push_back(events);
+    for (const Event& e : events) {
+      if (e.job >= 0) slot_of[e.job] = view.slot(e.job);
+    }
+    for (const JobId id : view.live_jobs()) {
+      out.push_back(Directive{id, kAllocEdge, -static_cast<double>(id),
+                              ReasonCode::kFixedAssignment});
+    }
+  }
+
+  std::vector<std::vector<Event>> batches;
+  std::map<JobId, std::int32_t> slot_of;
+};
+
+// Jobs 1 and 2 finish at t = 4 on different edges, job 2 granted first.
+// The completion batch the policy sees, and the trace's completion
+// instants, must still come in ascending id — in streaming mode too,
+// where job 2 recycles job 0's slot and so sits in a lower slot than job 1.
+TEST(RoundBookkeeping, SimultaneousCompletionsFireInIdOrder) {
+  Instance instance;
+  instance.platform = Platform({1.0, 1.0}, 1);
+  instance.jobs = {{0, 0, 1.0, 0.0, 0.0, 0.0},
+                   {1, 1, 4.0, 0.0, 0.0, 0.0},
+                   {2, 0, 2.0, 2.0, 0.0, 0.0},
+                   // Released after t = 4, so a round still sees the
+                   // completion batch of t = 4.
+                   {3, 1, 1.0, 5.0, 0.0, 0.0}};
+  for (const bool streaming : {false, true}) {
+    SCOPED_TRACE(streaming ? "streaming" : "materialized");
+    ReversedEdgePolicy policy;
+    obs::MemoryTraceSink sink;
+    EngineConfig config;
+    config.trace = &sink;
+    if (streaming) {
+      InstanceArrivalStream arrivals(instance);
+      (void)simulate_stream(platform_of(instance), arrivals, policy, config);
+    } else {
+      (void)simulate(instance, policy, config);
+    }
+
+    std::vector<JobId> at_four;
+    for (const std::vector<Event>& batch : policy.batches) {
+      if (batch.empty() || batch.front().time != 4.0) continue;
+      for (const Event& e : batch) {
+        EXPECT_EQ(e.kind, EventKind::kComputeDone);
+        at_four.push_back(e.job);
+      }
+    }
+    EXPECT_EQ(at_four, (std::vector<JobId>{1, 2}));
+
+    std::vector<JobId> completed;
+    for (const obs::TraceRecord& rec : sink.records()) {
+      if (rec.kind == obs::TraceKind::kInstant &&
+          rec.point == obs::TracePoint::kCompletion) {
+        completed.push_back(rec.job);
+      }
+    }
+    EXPECT_EQ(completed, (std::vector<JobId>{0, 1, 2, 3}));
+
+    if (streaming) {
+      // The case the id sort exists for: slot order != id order.
+      EXPECT_EQ(policy.slot_of.at(2), policy.slot_of.at(0));
+      EXPECT_LT(policy.slot_of.at(2), policy.slot_of.at(1));
+    }
+  }
+}
+
+/// Checks SimView::live_jobs() against a from-scratch derivation (the ids
+/// of the pool's live slots, sorted) at every round, then lets the base
+/// policy decide. Also measures the largest number of jobs that joined or
+/// left the live set between two consecutive rounds.
+class LiveListProbe final : public Policy {
+ public:
+  explicit LiveListProbe(std::unique_ptr<Policy> base)
+      : base_(std::move(base)) {}
+  [[nodiscard]] std::string name() const override { return base_->name(); }
+  void reset(const Instance& instance) override { base_->reset(instance); }
+
+  void decide(const SimView& view, const std::vector<Event>& events,
+              std::vector<Directive>& out) override {
+    const soa::StatePool& pool = view.pool();
+    std::vector<JobId> expect;
+    for (std::int32_t s = 0; s < static_cast<std::int32_t>(pool.size());
+         ++s) {
+      if (pool.live(s)) expect.push_back(pool.job(s).id);
+    }
+    std::sort(expect.begin(), expect.end());
+    const std::span<const JobId> live = view.live_jobs();
+    const bool same = std::equal(live.begin(), live.end(), expect.begin(),
+                                 expect.end());
+    if (!same && !first_mismatch) first_mismatch = view.now();
+    for (const JobId id : live) {
+      const std::int32_t s = view.slot(id);
+      if (s < 0 || pool.job(s).id != id) ++bad_slots;
+    }
+    std::vector<JobId> changed;
+    std::set_symmetric_difference(prev_.begin(), prev_.end(), expect.begin(),
+                                  expect.end(), std::back_inserter(changed));
+    std::size_t joined = 0;
+    for (const JobId id : changed) {
+      if (std::binary_search(expect.begin(), expect.end(), id)) ++joined;
+    }
+    max_joined = std::max(max_joined, joined);
+    max_left = std::max(max_left, changed.size() - joined);
+    prev_ = std::move(expect);
+    ++rounds;
+    base_->decide(view, events, out);
+  }
+
+  std::optional<Time> first_mismatch;
+  std::size_t bad_slots = 0;
+  std::size_t max_joined = 0;
+  std::size_t max_left = 0;
+  std::uint64_t rounds = 0;
+
+ private:
+  std::unique_ptr<Policy> base_;
+  std::vector<JobId> prev_;
+};
+
+// Sparse ids in shuffled arrival order, three arrivals per instant and
+// integer amounts on unit-speed processors (so completions coincide),
+// under overload: the maintained live list must equal a fresh sort at
+// every round — plain, with hopeless-resident evictions (a shed slot is
+// recycled by the arrival of the same batch) and with deadline shedding.
+TEST(RoundBookkeeping, LiveListMatchesAFreshSortEveryRound) {
+  Instance base;
+  base.platform = Platform({1.0, 1.0}, 2);
+  Rng rng(2024);
+  std::vector<JobId> ids(3000);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<JobId>(i);
+  }
+  for (std::size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[static_cast<std::size_t>(
+                          rng.uniform_int(0, static_cast<std::int64_t>(i)))]);
+  }
+  std::vector<Job> jobs;
+  for (int i = 0; i < 600; ++i) {
+    Job job;
+    job.id = ids[static_cast<std::size_t>(i)];
+    job.origin = static_cast<EdgeId>(rng.uniform_int(0, 1));
+    job.work = static_cast<double>(rng.uniform_int(1, 3));
+    job.release = static_cast<Time>(i / 3);
+    job.up = static_cast<double>(rng.uniform_int(0, 1));
+    job.down = static_cast<double>(rng.uniform_int(0, 1));
+    jobs.push_back(job);
+  }
+
+  AdmissionConfig hopeless;
+  hopeless.max_live = 6;
+  hopeless.rule = AdmissionRule::kRejectHopeless;
+  AdmissionConfig infeasible;
+  infeasible.rule = AdmissionRule::kShedInfeasible;
+  infeasible.stretch_limit = 3.0;
+  const AdmissionConfig cases[] = {AdmissionConfig{}, hopeless, infeasible};
+  for (const char* policy_name : {"srpt", "greedy"}) {
+    for (std::size_t c = 0; c < std::size(cases); ++c) {
+      SCOPED_TRACE(std::string(policy_name) + " case " + std::to_string(c));
+      LiveListProbe probe(make_policy(policy_name));
+      EngineConfig config;
+      config.admission = cases[c];
+      ListStream arrivals(jobs);
+      const SimResult result = simulate_stream(base, arrivals, probe, config);
+
+      EXPECT_GT(probe.rounds, 100U);
+      EXPECT_FALSE(probe.first_mismatch.has_value())
+          << "first mismatch at t=" << probe.first_mismatch.value_or(-1.0);
+      EXPECT_EQ(probe.bad_slots, 0U);
+      EXPECT_GE(probe.max_joined, 2U);
+      EXPECT_GE(probe.max_left, 2U);
+      if (c > 0) {
+        EXPECT_GT(result.stats.sheds, 0U);
+      }
+    }
+  }
 }
 
 }  // namespace
