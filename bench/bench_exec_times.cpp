@@ -42,19 +42,20 @@ void run_policy_bench(benchmark::State& state, const std::string& policy,
   const int n = static_cast<int>(state.range(0));
   const double load = static_cast<double>(state.range(1)) / 100.0;
   const ecs::Instance instance = make_instance(n, load, 42);
-  double max_stretch = 0.0;
+  ecs::RunOutcome outcome;
   for (auto _ : state) {
     const std::unique_ptr<ecs::Policy> scheduler =
         use_ref ? ecs::ref::make_reference_policy(policy)
                 : ecs::make_policy(policy);
     ecs::RunOptions options;
     options.validate = false;
-    const ecs::RunOutcome outcome =
-        ecs::run_policy(instance, *scheduler, options);
-    max_stretch = outcome.metrics.max_stretch;
-    benchmark::DoNotOptimize(max_stretch);
+    outcome = ecs::run_policy(instance, *scheduler, options);
+    // Sink the whole outcome, not a double: google-benchmark 1.7.1's
+    // DoNotOptimize(double&) under GCC 12 let the counter below leave the
+    // loop holding n instead of the run's max-stretch.
+    benchmark::DoNotOptimize(outcome);
   }
-  state.counters["max_stretch"] = max_stretch;
+  state.counters["max_stretch"] = outcome.metrics.max_stretch;
   state.counters["jobs_per_s"] = benchmark::Counter(
       static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate);
 }

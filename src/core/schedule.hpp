@@ -14,6 +14,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/interval.hpp"
@@ -67,6 +68,8 @@ class Schedule {
  public:
   Schedule() = default;
   explicit Schedule(int job_count) : jobs_(job_count) {}
+  /// Adopts per-job records indexed by JobId.
+  explicit Schedule(std::vector<JobSchedule> jobs) : jobs_(std::move(jobs)) {}
 
   [[nodiscard]] int job_count() const noexcept {
     return static_cast<int>(jobs_.size());

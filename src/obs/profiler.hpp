@@ -124,7 +124,7 @@ struct ProfileReport {
   /// scan width.
   std::uint64_t scanned_slots = 0;
   std::uint64_t peak_live = 0;     ///< max over merged runs
-  std::uint64_t peak_tracked = 0;  ///< max over merged runs (streaming)
+  std::uint64_t peak_tracked = 0;  ///< max over merged runs
   double tick_ns = 1.0;  ///< calibration used to convert ticks to ns
 
   [[nodiscard]] double total_ns() const noexcept;

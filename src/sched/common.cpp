@@ -28,7 +28,7 @@ void list_assign_directives(const SimView& view,
   for (; i < order.size(); ++i) {
     if (i % kSaturationStride == 0 && i != 0 && clock.saturated(now)) break;
     const OrderedJob& entry = order[i];
-    const JobFields f = view.fields(entry.id);
+    const JobFields f = view.pool().fields(entry.slot);
     const int target =
         replay ? targets[i] : best_target_sticky(platform, clock, f).first;
     assert(!replay || target == best_target_sticky(platform, clock, f).first);

@@ -31,9 +31,12 @@ namespace ecs {
 /// True when the event batch contains a job release.
 [[nodiscard]] bool contains_release(const std::vector<Event>& events);
 
-/// A job with its ordering key (deadline for SSF-EDF, release for FCFS).
+/// A job with its state slot (SimView::live_slots()) and its ordering key
+/// (deadline for SSF-EDF, release for FCFS). The slot fills what would be
+/// padding after the id.
 struct OrderedJob {
   JobId id = -1;
+  std::int32_t slot = -1;
   double key = 0.0;
 };
 
@@ -77,6 +80,7 @@ struct PickOption {
   double keep = 0.0;   ///< on the current allocation (also kTargetKeep)
   double edge = 0.0;   ///< restarting on the origin edge
   double fresh = 0.0;  ///< restarting on a cloud of `fresh_class`
+  std::int32_t slot = -1;  ///< the job's state slot
   bool picked = false;
 };
 
@@ -254,12 +258,13 @@ class PickTable {
         static_cast<std::size_t>(platform.cloud_count())) {
       uncontended_cloud_classes(view.instance(), cloud_class_);
     }
-    const std::span<const JobId> live = view.live_jobs();
-    rows_.resize(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      const JobFields f = view.fields(live[i]);
+    const std::span<const std::int32_t> slots = view.live_slots();
+    rows_.resize(slots.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const JobFields f = view.pool().fields(slots[i]);
       PickOption& o = rows_[i];
-      o.id = live[i];
+      o.id = f.job->id;
+      o.slot = slots[i];
       o.origin = f.job->origin;
       o.alloc = f.alloc;
       o.fresh_class = -1;
@@ -304,7 +309,7 @@ class PickTable {
                                    ValueFn&& value) {
     const CloudId cls = cloud_class_[static_cast<std::size_t>(fresh_)];
     if (o.fresh_class != cls) {
-      o.fresh = value(view.fields(o.id), fresh_);
+      o.fresh = value(view.pool().fields(o.slot), fresh_);
       o.fresh_class = cls;
     }
     return o.fresh;
@@ -464,7 +469,8 @@ template <typename FeasibleFn>
 /// would start *immediately* receive an explicit (re)allocation directive;
 /// queued jobs get kTargetKeep, so their progress is never discarded just
 /// because the projection shuffled the queue behind the running jobs. All
-/// directives carry the rank in `order` as priority.
+/// directives carry the rank in `order` as priority. Each entry's `slot`
+/// must hold its job's state slot; the walk gathers through it.
 ///
 /// Provenance: immediate placements are annotated with `local_reason`
 /// (edge target) or `offload_reason` (cloud target) — the calling policy's

@@ -148,8 +148,8 @@ void FailoverPolicy::decide(const SimView& view,
   //    a batch of stranded jobs spreads over the healthy clouds.
   std::vector<int>& cloud_load = cloud_load_;
   cloud_load.assign(failures_.size(), 0);
-  for (const JobId id : view.live_jobs()) {
-    const int alloc = view.fields(id).alloc;
+  for (const std::int32_t slot : view.live_slots()) {
+    const int alloc = view.pool().alloc(slot);
     if (is_cloud_alloc(alloc) &&
         static_cast<std::size_t>(alloc) < cloud_load.size()) {
       ++cloud_load[alloc];
@@ -163,9 +163,9 @@ void FailoverPolicy::decide(const SimView& view,
   }
   for (std::size_t i = base_begin; i < out.size(); ++i) {
     Directive& d = out[i];
-    // Stamps are keyed by state slot (identity outside streaming) so the
-    // table stays O(live) on unbounded id streams; a stamp only lives for
-    // one round, so slot recycling between rounds cannot alias.
+    // Stamps are keyed by state slot so the table stays O(live) on
+    // unbounded id streams; a stamp only lives for one round, so slot
+    // recycling between rounds cannot alias.
     const std::int32_t slot = d.job < 0 ? -1 : view.slot(d.job);
     if (slot < 0 ||
         static_cast<std::size_t>(slot) >= directed_stamp_.size()) {
@@ -196,9 +196,9 @@ void FailoverPolicy::decide(const SimView& view,
 
   // 3. Evacuate residents of dead/blacklisted clouds that the base policy
   //    left alone (it sees nothing wrong with them).
-  for (const JobId id : view.live_jobs()) {
-    const JobFields s = view.fields(id);
-    if (directed_stamp_[view.slot(id)] == round_) continue;
+  for (const std::int32_t slot : view.live_slots()) {
+    if (directed_stamp_[slot] == round_) continue;
+    const JobFields s = view.pool().fields(slot);
     if (!is_cloud_alloc(s.alloc) ||
         static_cast<std::size_t>(s.alloc) >= failures_.size() ||
         !evacuate(s.alloc)) {

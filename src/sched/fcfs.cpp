@@ -14,8 +14,9 @@ void FcfsPolicy::decide(const SimView& view, const std::vector<Event>& events,
   (void)events;
 
   order_.clear();
-  for (const JobId id : view.live_jobs()) {
-    order_.push_back(OrderedJob{id, view.fields(id).job->release});
+  for (const std::int32_t slot : view.live_slots()) {
+    const Job& job = view.pool().job(slot);
+    order_.push_back(OrderedJob{job.id, slot, job.release});
   }
   sort_ordered(order_);
   if (!clock_.bound()) clock_.bind(view.instance(), view.now());

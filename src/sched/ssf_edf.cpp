@@ -36,8 +36,9 @@ bool SsfEdfPolicy::feasible(const SimView& view, double stretch,
   // tie-break as decide(). They hold the live set recompute_deadlines()
   // listed, in the previous probe's order: once the search narrows,
   // consecutive probes swap few pairs.
+  const soa::StatePool& pool = view.pool();
   for (OrderedJob& e : entries_) {
-    e.key = deadline_of(view.fields(e.id), stretch);
+    e.key = deadline_of(pool.fields(e.slot), stretch);
   }
   resort_ordered(entries_);
 
@@ -46,7 +47,7 @@ bool SsfEdfPolicy::feasible(const SimView& view, double stretch,
   bool ok = true;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const OrderedJob& e = entries_[i];
-    const JobFields s = view.fields(e.id);
+    const JobFields s = pool.fields(e.slot);
     const auto [target, done] = best_target_sticky(platform, clock_, s);
     clock_.commit(platform, s, target);
     probe_targets_[i] = target;
@@ -57,12 +58,11 @@ bool SsfEdfPolicy::feasible(const SimView& view, double stretch,
   }
   if (ok) std::swap(probe_targets_, accepted_targets_);
   if (ok && deadlines_out != nullptr) {
-    // Keyed by state slot, not id: under streaming (simulate_stream) slots
-    // recycle across retired jobs, keeping this buffer O(live), and a slot's
-    // occupant can only change at a release event — which recomputes every
-    // live deadline anyway.
+    // Keyed by state slot, not id: slots recycle across retired jobs,
+    // keeping this buffer O(live), and a slot's occupant can only change
+    // at a release event — which recomputes every live deadline anyway.
     for (const OrderedJob& e : entries_) {
-      (*deadlines_out)[view.slot(e.id)] = e.key;
+      (*deadlines_out)[e.slot] = e.key;
     }
   }
   return ok;
@@ -82,11 +82,11 @@ void SsfEdfPolicy::recompute_deadlines(const SimView& view) {
   double lo = 1.0;
   replay_ = false;
   entries_.clear();
-  for (const JobId id : view.live_jobs()) {
-    const JobFields s = view.fields(id);
+  for (const std::int32_t slot : view.live_slots()) {
+    const JobFields s = view.pool().fields(slot);
     const Time best_done = best_uncontended_completion(platform, s, now);
     lo = std::max(lo, (best_done - s.job->release) / s.best_time);
-    entries_.push_back(OrderedJob{id, 0.0});
+    entries_.push_back(OrderedJob{s.job->id, slot, 0.0});
   }
   if (entries_.empty()) return;
 
@@ -113,7 +113,7 @@ void SsfEdfPolicy::recompute_deadlines(const SimView& view) {
   // come from the last feasible probe, whose walk list assignment replays.
   if (target == accepted) {
     for (const OrderedJob& e : entries_) {
-      deadlines_[view.slot(e.id)] = deadline_of(view.fields(e.id), target);
+      deadlines_[e.slot] = deadline_of(view.pool().fields(e.slot), target);
     }
     replay_ = true;
   } else if (feasible(view, target, &deadlines_)) {
@@ -127,7 +127,7 @@ void SsfEdfPolicy::recompute_deadlines(const SimView& view) {
 }
 
 bool SsfEdfPolicy::filter_order(const SimView& view) {
-  const std::span<const JobId> live = view.live_jobs();
+  const std::span<const std::int32_t> live = view.live_slots();
   if (live_mark_.size() < view.state_count()) {
     live_mark_.resize(view.state_count(), 0);
   }
@@ -135,13 +135,15 @@ bool SsfEdfPolicy::filter_order(const SimView& view) {
     std::fill(live_mark_.begin(), live_mark_.end(), 0);
     mark_ = 1;
   }
-  for (const JobId id : live) {
-    live_mark_[static_cast<std::size_t>(view.slot(id))] = mark_;
+  for (const std::int32_t slot : live) {
+    live_mark_[static_cast<std::size_t>(slot)] = mark_;
   }
+  // An entry's slot still belongs to its job: no release happened since
+  // order_ was built, and slots are reused only at admission. A retired
+  // job's slot is free, so it reads as unmarked.
   std::size_t kept = 0;
   for (const OrderedJob& e : order_) {
-    const std::int32_t slot = view.slot(e.id);
-    if (slot >= 0 && live_mark_[static_cast<std::size_t>(slot)] == mark_) {
+    if (live_mark_[static_cast<std::size_t>(e.slot)] == mark_) {
       order_[kept++] = e;
     }
   }
@@ -164,8 +166,9 @@ void SsfEdfPolicy::decide(const SimView& view,
   // filtered down to the live jobs is already sorted.
   if (release || !filter_order(view)) {
     order_.clear();
-    for (const JobId id : view.live_jobs()) {
-      order_.push_back(OrderedJob{id, deadlines_[view.slot(id)]});
+    for (const std::int32_t slot : view.live_slots()) {
+      order_.push_back(
+          OrderedJob{view.pool().job(slot).id, slot, deadlines_[slot]});
     }
     sort_ordered(order_);
   }

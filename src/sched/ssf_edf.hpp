@@ -73,7 +73,7 @@ class SsfEdfPolicy final : public Policy {
   [[nodiscard]] bool filter_order(const SimView& view);
 
   SsfEdfConfig config_;
-  std::vector<double> deadlines_;  ///< per state SLOT (view.slot); +inf idle
+  std::vector<double> deadlines_;  ///< per state SLOT; +inf idle
   double last_target_stretch_ = 0.0;
   // Workspace, reused across decide() calls and feasibility probes (zero
   // steady-state allocation; see DESIGN.md §6).

@@ -1,8 +1,9 @@
 // arrivals.hpp - Streaming job arrivals for the engine.
 //
-// simulate_stream (engine.hpp) consumes releases from an ArrivalStream
-// instead of a fully materialized Instance, so a run's memory footprint is
-// a function of the number of *live* jobs, never of the total job count.
+// The engine consumes releases from an ArrivalStream: simulate_stream
+// (engine.hpp) from the caller's, simulate() from an InstanceArrivalStream
+// over the instance's job list. Per-job engine state is therefore a
+// function of the number of *live* jobs, never of the total job count.
 // The interface lives in sim/ (the engine's layer); the deterministic
 // seeded arrival families — Poisson, diurnal NHPP, bursty MMPP,
 // heavy-tailed Pareto, trace-file-driven — live in workloads/arrivals.hpp
@@ -10,11 +11,9 @@
 //
 // Stream contract (enforced by the engine where cheap):
 //  * next() returns jobs with non-decreasing release dates; ties are
-//    consumed in emission order (matching the materialized engine's
-//    (release, id) order when ids are assigned in release order);
-//  * job ids are unique and non-negative; the synthetic families emit
-//    sequential ids 0, 1, 2, ... so the engine's id -> slot window stays
-//    O(live);
+//    consumed in emission order (InstanceArrivalStream breaks them by id);
+//  * job ids are unique and non-negative (the synthetic families emit
+//    sequential ids 0, 1, 2, ...);
 //  * next() after exhaustion keeps returning nullopt;
 //  * streams are deterministic: same construction, same sequence.
 #pragma once
@@ -44,13 +43,21 @@ class ArrivalStream {
 };
 
 /// Adapts a materialized Instance's job list into a stream: emits the jobs
-/// sorted by (release, id), ids untouched. This is the equivalence bridge —
-/// simulate_stream over it must match simulate over the instance bit for
-/// bit — and the migration path for instance files.
+/// sorted by (release, id), ids untouched. simulate() runs every instance
+/// through one (engine-owned, rebound per run), so simulate_stream over it
+/// is simulate() (tests/test_streaming.cpp pins this).
 class InstanceArrivalStream final : public ArrivalStream {
  public:
+  /// An exhausted stream, until rebind().
+  InstanceArrivalStream() = default;
   /// `instance` is not owned and must outlive the stream.
-  explicit InstanceArrivalStream(const Instance& instance);
+  explicit InstanceArrivalStream(const Instance& instance) {
+    rebind(instance);
+  }
+
+  /// Restarts the stream over `instance` (not owned); the order buffer
+  /// keeps its capacity.
+  void rebind(const Instance& instance);
 
   [[nodiscard]] std::string name() const override { return "instance"; }
   [[nodiscard]] std::optional<Job> next() override;
@@ -59,7 +66,7 @@ class InstanceArrivalStream final : public ArrivalStream {
   }
 
  private:
-  const Instance* instance_;
+  const Instance* instance_ = nullptr;
   std::vector<JobId> order_;  ///< indices into instance_->jobs, release order
   std::size_t pos_ = 0;
 };

@@ -1,6 +1,8 @@
 // engine.cpp - EngineCore: the event loop behind simulate(),
-// simulate_stream() and the batch driver. See engine_core.hpp for the
-// reuse contract and sim/soa.hpp for the SoA state layout.
+// simulate_stream() and the batch driver — one path for all three: jobs
+// arrive from a stream, take recycled state slots and retire after
+// completion. See engine_core.hpp for the reuse contract and sim/soa.hpp
+// for the SoA state layout.
 #include "sim/engine.hpp"
 
 #include <algorithm>
@@ -76,8 +78,6 @@ void EngineCore::prepare(const Instance& instance, ArrivalStream* stream,
   instance_ = &instance;
   platform_ = &instance.platform;
   policy_ = &policy;
-  stream_ = stream;
-  streaming_ = stream != nullptr;
   prepared_ = false;
   config_ = config;
   trace_ = config.trace;
@@ -101,12 +101,17 @@ void EngineCore::prepare(const Instance& instance, ArrivalStream* stream,
   if (profiler_ != nullptr) profiler_->begin_run(policy.name());
   ids_.reset();
   if (metrics_ != nullptr) ids_.emplace(*metrics_);
-  if (streaming_ && !instance_->jobs.empty()) {
+  if (stream != nullptr && !instance_->jobs.empty()) {
     throw std::invalid_argument(
         "simulate_stream: the base instance must have an empty job list "
         "(jobs come from the arrival stream)");
   }
   require_valid_instance(*instance_);
+  if (stream == nullptr) {
+    instance_stream_.rebind(instance);
+    stream = &instance_stream_;
+  }
+  stream_ = stream;
   config_.faults.normalize();
   require_valid_fault_plan(config_.faults, *platform_);
   admission_on_ = config_.admission.enabled();
@@ -123,23 +128,22 @@ void EngineCore::prepare(const Instance& instance, ArrivalStream* stream,
 }
 
 void EngineCore::init() {
-  const int n = streaming_ ? 0 : instance_->job_count();
   // Reset every piece of run state; a reused core starts exactly like a
-  // fresh one, but with its buffer capacity intact.
-  pool_.reset(static_cast<std::size_t>(n));
-  if (record_schedule_) {
-    recorders_.assign(static_cast<std::size_t>(n), ActivityRecorder{});
-  } else {
-    recorders_.clear();  // never touched below; skip the O(n) fill
-  }
-  started_.assign(static_cast<std::size_t>(n), 0);
-  live_.reset(static_cast<std::size_t>(n));
-  seen_round_.assign(static_cast<std::size_t>(n), 0);
+  // fresh one, but with its buffer capacity intact. Per-slot state starts
+  // empty and grows with the live set (acquire_slot).
+  pool_.reset(0);
+  recorders_.clear();
+  started_.clear();
+  live_.reset(0);
+  seen_round_.clear();
+  spans_.clear();
+  run_index_.clear();
+  last_dir_target_.clear();
+  last_dir_reason_.clear();
   round_ = 0;
   events_.clear();
   fault_log_.clear();
   admission_log_.clear();
-  abandoned_runs_.clear();
   active_ids_.clear();
   live_sorted_.clear();
   live_slots_.clear();
@@ -151,16 +155,23 @@ void EngineCore::init() {
   directives_.clear();
   boundaries_.clear();
   wakes_.clear();
-  release_order_.clear();
   free_slots_.clear();
   retire_queue_.clear();
-  completion_log_.clear();
-  final_runs_.clear();
+  completions_.clear();
+  runs_.clear();
   id_map_.clear();
   pending_.reset();
   last_arrival_ = -kTimeInfinity;
-  next_id_ = 0;
-  next_release_ = 0;
+  // An instance names all its ids up front: a directive for one of its
+  // jobs that is not released yet is stale, not unknown.
+  next_id_ = stream_ == &instance_stream_ ? instance_->job_count() : 0;
+  // A stream that knows its job count sizes the by-id results up front.
+  const std::int64_t total = stream_->remaining();
+  if (total > 0) {
+    const auto jobs = static_cast<std::size_t>(total);
+    if (config_.record_completions) completions_.reserve(jobs);
+    if (record_schedule_) runs_.reserve(jobs);
+  }
   stats_ = SimStats{};
   events_since_completion_ = 0;
   granted_ = 0;
@@ -170,30 +181,14 @@ void EngineCore::init() {
   elided_rounds_ = 0;
 
   if (trace_ != nullptr) {
-    spans_.assign(static_cast<std::size_t>(n), SpanState{});
-    run_index_.assign(static_cast<std::size_t>(n), 0);
-    if (provenance_on_) {
-      last_dir_target_.assign(static_cast<std::size_t>(n), kDirectiveNone);
-      last_dir_reason_.assign(static_cast<std::size_t>(n), 0);
-    }
     obs::TraceMeta meta;
     meta.policy = policy_->name();
     meta.edge_count = platform_->edge_count();
     meta.cloud_count = platform_->cloud_count();
-    if (streaming_) {
-      const std::int64_t total = stream_->remaining();
-      meta.job_count =
-          total >= 0 && total <= std::numeric_limits<int>::max()
-              ? static_cast<int>(total)
-              : -1;
-    } else {
-      meta.job_count = n;
-    }
+    meta.job_count = total >= 0 && total <= std::numeric_limits<int>::max()
+                         ? static_cast<int>(total)
+                         : -1;
     trace_->begin_trace(meta);
-  }
-  for (int i = 0; i < n; ++i) {
-    pool_.job(i) = instance_->jobs[i];
-    pool_.best_time(i) = platform_->best_time(pool_.job(i));
   }
   // Outage boundaries (cloud availability windows): every begin and end
   // is a wake-up point where the engine re-arbitrates, so an in-flight
@@ -228,26 +223,12 @@ void EngineCore::init() {
             });
   next_wake_ = 0;
 
-  if (streaming_) {
-    remaining_jobs_ = 0;
-    advance_stream();
-    // Jump to the first arrival; faults scheduled earlier fire now (no
-    // job existed to be hit, but the down/up state and the monitoring
-    // events must be correct from the very first decision).
-    now_ = pending_ ? pending_->release : 0.0;
-  } else {
-    release_order_.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) release_order_[i] = i;
-    std::sort(release_order_.begin(), release_order_.end(),
-              [&](JobId a, JobId b) {
-                const Time ra = pool_.job(a).release;
-                const Time rb = pool_.job(b).release;
-                return ra != rb ? ra < rb : a < b;
-              });
-    next_release_ = 0;
-    remaining_jobs_ = n;
-    now_ = n > 0 ? pool_.job(release_order_[0]).release : 0.0;
-  }
+  remaining_jobs_ = 0;
+  advance_stream();
+  // Jump to the first arrival; faults scheduled earlier fire now (no job
+  // existed to be hit, but the down/up state and the monitoring events must
+  // be correct from the very first decision).
+  now_ = pending_ ? pending_->release : 0.0;
   fire_faults();
   fire_releases();
   stats_.events += events_.size();
@@ -299,19 +280,10 @@ Time EngineCore::next_activity_end() const {
 /// Releases every arrival due at `now_` (within tolerance), each one
 /// routed through admission control.
 void EngineCore::fire_releases() {
-  if (streaming_) {
-    while (pending_ && time_le(pending_->release, now_)) {
-      const Job job = *pending_;
-      advance_stream();
-      admit(job);
-    }
-  } else {
-    while (next_release_ < release_order_.size()) {
-      const JobId id = release_order_[next_release_];
-      if (!time_le(pool_.job(id).release, now_)) break;
-      ++next_release_;
-      admit(pool_.job(id));
-    }
+  while (pending_ && time_le(pending_->release, now_)) {
+    const Job job = *pending_;
+    advance_stream();
+    admit(job);
   }
 }
 
@@ -327,7 +299,7 @@ void EngineCore::admit(const Job& job) {
   pool_.released(slot) = 1;
   live_.insert(job.id, slot);
   note_live_insert(job.id, slot);
-  if (streaming_) ++remaining_jobs_;
+  ++remaining_jobs_;
   ++stats_.admitted;
   if (live_.size() > stats_.peak_live) {
     stats_.peak_live = live_.size();
@@ -338,11 +310,10 @@ void EngineCore::admit(const Job& job) {
   }
 }
 
-/// Finds (or creates) the state slot for an admitted arrival. In
-/// materialized mode the slot is the job id (pool sized in init); in
-/// streaming mode slots are recycled through a free list.
+/// Finds (or creates) the state slot for an admitted arrival: a recycled
+/// one from the free list, else a new one at the end of every per-slot
+/// array.
 std::int32_t EngineCore::acquire_slot(const Job& job) {
-  if (!streaming_) return static_cast<std::int32_t>(job.id);
   std::int32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -432,11 +403,11 @@ void EngineCore::shed_infeasible(double limit) {
   victims_.clear();
   for (const soa::LiveIndex::Entry& e : live_) {
     if (!sheddable(e.slot)) continue;
-    if (stretch_lower_bound(e.slot) > limit) victims_.push_back(e.id);
+    if (stretch_lower_bound(e.slot) > limit) victims_.push_back(e);
   }
-  std::sort(victims_.begin(), victims_.end());
-  for (const JobId id : victims_) {
-    shed(id, ReasonCode::kAdmissionDeadlineInfeasible);
+  std::sort(victims_.begin(), victims_.end(), id_less);
+  for (const soa::LiveIndex::Entry& victim : victims_) {
+    shed(victim, ReasonCode::kAdmissionDeadlineInfeasible);
   }
 }
 
@@ -445,19 +416,19 @@ void EngineCore::shed_infeasible(double limit) {
 /// release). Ties prefer the newest (largest id). Returns true when a
 /// victim was shed, making room for the arrival.
 bool EngineCore::shed_most_hopeless() {
-  JobId worst = -1;
+  soa::LiveIndex::Entry worst{-1, soa::IdMap::kAbsent};
   double worst_lb = 1.0;
   for (const soa::LiveIndex::Entry& e : live_) {
     if (!sheddable(e.slot)) continue;
     const double lb = stretch_lower_bound(e.slot);
     if (lb > worst_lb) {
-      worst = e.id;
+      worst = e;
       worst_lb = lb;
-    } else if (lb == worst_lb && worst >= 0 && e.id > worst) {
-      worst = e.id;
+    } else if (lb == worst_lb && worst.id >= 0 && e.id > worst.id) {
+      worst = e;
     }
   }
-  if (worst < 0) return false;
+  if (worst.id < 0) return false;
   shed(worst, ReasonCode::kAdmissionStretchHopeless);
   return true;
 }
@@ -466,7 +437,6 @@ bool EngineCore::shed_most_hopeless() {
 /// instant (value = resident count at refusal) and the admission log.
 void EngineCore::reject(const Job& job) {
   ++stats_.rejections;
-  if (!streaming_) --remaining_jobs_;
   if (config_.record_admission) {
     admission_log_.push_back(
         AdmissionRecord{job.id, now_, ReasonCode::kAdmissionQueueFull, false});
@@ -483,15 +453,16 @@ void EngineCore::reject(const Job& job) {
     trace_->record(rec);
   }
   // A rejected id acquires no slot and is never entered into the id map,
-  // so there is nothing to clean up in streaming mode.
+  // so there is nothing to clean up.
 }
 
 /// Evicts an admitted, never-started resident (value = its stretch lower
-/// bound at eviction). Its slot is recycled immediately in streaming mode
-/// — nothing in flight references a never-started job released before
-/// this batch.
-void EngineCore::shed(JobId id, ReasonCode reason) {
-  const std::int32_t slot = find_slot(id);
+/// bound at eviction). Its slot is recycled immediately — nothing in
+/// flight references a never-started job released before this batch.
+void EngineCore::shed(const soa::LiveIndex::Entry& victim,
+                      ReasonCode reason) {
+  const JobId id = victim.id;
+  const std::int32_t slot = victim.slot;
   if (trace_ != nullptr) {
     obs::TraceRecord rec;
     rec.kind = obs::TraceKind::kInstant;
@@ -513,25 +484,33 @@ void EngineCore::shed(JobId id, ReasonCode reason) {
   if (config_.record_admission) {
     admission_log_.push_back(AdmissionRecord{id, now_, reason, true});
   }
-  if (streaming_) retire_slot(slot);
+  retire_slot(slot);
 }
 
-/// Recycles a slot (streaming only): harvests its run record and
-/// completion time into the result logs and returns the slot to the free
-/// list.
+/// Recycles a slot: harvests its final run and completion time into the
+/// by-id results and returns the slot to the free list.
 void EngineCore::retire_slot(std::int32_t slot) {
   const JobId id = pool_.job(slot).id;
   if (record_schedule_) {
     ActivityRecorder& rec = recorders_[slot];
     rec.close(now_);
-    final_runs_.emplace_back(id, std::move(rec.current));
+    runs_of(id).final_run = std::move(rec.current);
     rec.current = RunRecord{};
   }
   if (config_.record_completions && pool_.done(slot) != 0) {
-    completion_log_.emplace_back(id, pool_.completion(slot));
+    const auto at = static_cast<std::size_t>(id);
+    if (at >= completions_.size()) completions_.resize(at + 1, -1.0);
+    completions_[at] = pool_.completion(slot);
   }
   id_map_.erase(id);
   free_slots_.push_back(slot);
+}
+
+/// `id`'s entry of the by-id schedule, growing it on first sight.
+JobSchedule& EngineCore::runs_of(JobId id) {
+  const auto at = static_cast<std::size_t>(id);
+  if (at >= runs_.size()) runs_.resize(at + 1);
+  return runs_[at];
 }
 
 /// Retires every job whose completion events the policy has now seen.
@@ -739,8 +718,8 @@ void EngineCore::decide_and_activate() {
     // Every component write since the last decide() is behind us: stale
     // the AoS read cache so state()/states() republish on first read.
     pool_.invalidate_view();
-    const soa::IdMap* ids = streaming_ ? &id_map_ : nullptr;
-    const SimView view(*instance_, pool_, now_, &live_sorted_, ids);
+    const SimView view(*instance_, pool_, now_, &live_sorted_, &live_slots_,
+                       &id_map_);
     // Two steady-clock reads per round are measurable at batch scale, so
     // the policy timer sits behind a switch (EngineConfig::time_policy); a
     // metrics registry needs the readings for its phase timer either way.
@@ -794,7 +773,7 @@ void EngineCore::decide_and_activate() {
   active_ids_.clear();
   // Completed jobs retire only now: the policy has consumed their
   // completion events above, so nothing references the slots any more.
-  if (streaming_ && !retire_queue_.empty()) flush_retired();
+  if (!retire_queue_.empty()) flush_retired();
 
   // 3. Apply allocation changes (the re-execution rule). Each directive's
   //    slot is looked up here, once; directives for live jobs enter the
@@ -804,7 +783,7 @@ void EngineCore::decide_and_activate() {
         metrics_, metrics_ != nullptr ? ids_->phase_allocate : 0);
     order_.clear();
     for (const Directive& d : directives) {
-      const std::int32_t slot = find_slot(d.job);
+      const std::int32_t slot = id_map_.find(d.job);
       apply_directive(d, slot);
       if (slot >= 0 && pool_.live(slot)) {
         order_.push_back(Ranked{d.priority, d.job, slot});
@@ -902,7 +881,8 @@ void EngineCore::sample_counters(std::uint64_t waiting) {
   }
 }
 
-/// `slot` is find_slot(d.job), resolved once by the caller.
+/// `slot` is d.job's slot (negative when it holds none), resolved once by
+/// the caller.
 void EngineCore::apply_directive(const Directive& d, std::int32_t slot) {
   if (d.target == kTargetKeep) {
     // Keeps skip all validation (a keep for a finished or unknown job is
@@ -910,15 +890,13 @@ void EngineCore::apply_directive(const Directive& d, std::int32_t slot) {
     if (provenance_on_) trace_keep_directive(slot, d);
     return;
   }
-  if (d.job < 0 ||
-      (!streaming_ && d.job >= static_cast<JobId>(pool_.size())) ||
-      (streaming_ && d.job >= next_id_)) {
+  if (d.job < 0 || d.job >= next_id_) {
     throw std::runtime_error("policy " + policy_->name() +
                              " issued a directive for unknown job " +
                              std::to_string(d.job));
   }
-  if (slot < 0) return;  // streaming: retired or rejected, stale directive
-  if (!pool_.live(slot)) return;
+  // Retired, rejected or not yet released: a stale directive.
+  if (slot < 0 || !pool_.live(slot)) return;
   if (d.target != kAllocEdge &&
       (!is_cloud_alloc(d.target) || d.target >= platform_->cloud_count())) {
     throw std::runtime_error("policy " + policy_->name() +
@@ -942,7 +920,7 @@ void EngineCore::apply_directive(const Directive& d, std::int32_t slot) {
     ++stats_.reassignments;
     if (rec != nullptr) {
       if (rec->has_history()) {
-        abandoned_runs_.emplace_back(d.job, std::move(rec->current));
+        runs_of(d.job).abandoned.push_back(std::move(rec->current));
       }
       rec->current = RunRecord{};
     }
@@ -1085,11 +1063,7 @@ Time EngineCore::activity_end(std::int32_t slot) const {
 void EngineCore::advance_to_next_event() {
   // Earliest predicted activity end: one pass over the active set.
   Time next = next_activity_end();
-  if (streaming_) {
-    if (pending_) next = std::min(next, pending_->release);
-  } else if (next_release_ < release_order_.size()) {
-    next = std::min(next, pool_.job(release_order_[next_release_]).release);
-  }
+  if (pending_) next = std::min(next, pending_->release);
   while (next_boundary_ < boundaries_.size() &&
          time_le(boundaries_[next_boundary_], now_)) {
     ++next_boundary_;
@@ -1174,7 +1148,7 @@ void EngineCore::advance_to_next_event() {
     }
     // Retirement is deferred to the next decision round: the policy
     // must still see this completion event with the state attached.
-    if (streaming_) retire_queue_.push_back(slot);
+    retire_queue_.push_back(slot);
   }
   if (profiler_ != nullptr) profiler_->lap(obs::EnginePhase::kCompletions);
   fire_faults();
@@ -1307,11 +1281,10 @@ void EngineCore::abort_jobs_on_cloud(CloudId crashed) {
   // abort events keep firing in job-id order like the old full scan.
   victims_.clear();
   for (const soa::LiveIndex::Entry& e : live_) {
-    if (pool_.alloc(e.slot) == crashed) victims_.push_back(e.id);
+    if (pool_.alloc(e.slot) == crashed) victims_.push_back(e);
   }
-  std::sort(victims_.begin(), victims_.end());
-  for (const JobId id : victims_) {
-    const std::int32_t slot = find_slot(id);
+  std::sort(victims_.begin(), victims_.end(), id_less);
+  for (const auto& [id, slot] : victims_) {
     if (trace_ != nullptr) {
       trace_close_span(slot);
       trace_instant(obs::TracePoint::kFault, slot, crashed, 0.0);
@@ -1321,7 +1294,7 @@ void EngineCore::abort_jobs_on_cloud(CloudId crashed) {
       ActivityRecorder& rec = recorders_[slot];
       rec.close(now_);
       if (rec.has_history()) {
-        abandoned_runs_.emplace_back(id, std::move(rec.current));
+        runs_of(id).abandoned.push_back(std::move(rec.current));
       }
       rec.current = RunRecord{};
     }
@@ -1395,9 +1368,9 @@ bool EngineCore::step_rounds(std::uint64_t rounds) {
 
 void EngineCore::finish_into(SimResult& out) {
   if (profiler_ != nullptr) profiler_->mark();
-  // Streaming: the last completions of the run never saw another decision
-  // round, so their slots still sit in the retire queue — harvest them.
-  if (streaming_) flush_retired();
+  // The last completions of the run never saw another decision round, so
+  // their slots still sit in the retire queue — harvest them.
+  flush_retired();
   // Counters mirroring SimStats are added in bulk here so the registry and
   // the returned stats are consistent by construction.
   if (metrics_ != nullptr) {
@@ -1424,47 +1397,17 @@ void EngineCore::finish_into(SimResult& out) {
   // (core, result) pair recycles capacity in both directions.
   out.fault_log.swap(fault_log_);
   out.admission_log.swap(admission_log_);
-  const std::size_t total_jobs =
-      streaming_ ? static_cast<std::size_t>(next_id_) : pool_.size();
+  const auto total_jobs = static_cast<std::size_t>(next_id_);
   out.completions.clear();
   if (config_.record_completions) {
     // -1 marks rejected / shed jobs (they never completed).
-    out.completions.assign(total_jobs, -1.0);
-    if (streaming_) {
-      for (const auto& [id, completion] : completion_log_) {
-        out.completions[id] = completion;
-      }
-    } else {
-      for (std::int32_t s = 0; s < static_cast<std::int32_t>(pool_.size());
-           ++s) {
-        if (pool_.done(s) != 0) {
-          out.completions[pool_.job(s).id] = pool_.completion(s);
-        }
-      }
-    }
+    completions_.resize(total_jobs, -1.0);
+    out.completions.assign(completions_.begin(), completions_.end());
   }
-  if (config_.record_schedule) {
-    out.schedule = Schedule(static_cast<int>(total_jobs));
-    for (auto& [id, run] : abandoned_runs_) {
-      out.schedule.job(id).abandoned.push_back(std::move(run));
-    }
-    if (streaming_) {
-      // Retired jobs harvested their final run on the way out; rejected
-      // ids keep an empty record, like never-started jobs do.
-      for (auto& [id, run] : final_runs_) {
-        out.schedule.job(id).final_run = std::move(run);
-      }
-    } else {
-      for (std::int32_t s = 0; s < static_cast<std::int32_t>(pool_.size());
-           ++s) {
-        ActivityRecorder& rec = recorders_[s];
-        rec.close(now_);
-        out.schedule.job(pool_.job(s).id).final_run = std::move(rec.current);
-      }
-    }
-  } else {
-    out.schedule = Schedule();
-  }
+  // Rejected ids keep an empty record, like never-started jobs do.
+  runs_.resize(config_.record_schedule ? total_jobs : 0);
+  out.schedule = Schedule(std::move(runs_));
+  runs_.clear();
   if (profiler_ != nullptr) {
     profiler_->lap(obs::EnginePhase::kFinish);
     profiler_->end_run(stats_.events, stats_.decisions, elided_rounds_,

@@ -115,8 +115,9 @@ struct EngineConfig {
   /// instances when only completion times are needed.
   bool record_schedule = true;
   /// Fill SimResult::completions. Disable (together with record_schedule)
-  /// for soak-scale streaming runs where only the stats matter — with both
-  /// off a streaming run's memory is O(live), independent of total jobs.
+  /// for soak-scale runs where only the stats matter — with both off the
+  /// engine's memory is O(live), independent of total jobs (simulate()
+  /// still holds the instance itself).
   bool record_completions = true;
   /// Measure the wall time spent inside the policy (two steady-clock reads
   /// per decision round, accumulated into SimStats::policy_seconds). The
@@ -198,12 +199,13 @@ struct SimStats {
   /// observed after any decision round.
   std::uint64_t max_queue_depth = 0;
   /// High-water mark of the live set — the run's true working-set size.
-  /// Under streaming this is the memory bound: it tracks load, not total n.
+  /// It bounds the engine's per-job state: it tracks load, not total n.
   std::uint64_t peak_live = 0;
-  /// Streaming only: high-water mark of the id -> slot map (live jobs plus
-  /// completed jobs awaiting their one-round retirement grace). The memory
-  /// regression tests pin peak_tracked = O(peak_live) under adversarial
-  /// completion orders; 0 in materialized runs.
+  /// High-water mark of the id -> slot map (live jobs plus completed jobs
+  /// awaiting their one-round retirement grace): the engine's per-job state
+  /// size, in simulate() and simulate_stream() alike. The memory regression
+  /// tests pin peak_tracked = O(peak_live) under adversarial completion
+  /// orders.
   std::uint64_t peak_tracked = 0;
   std::uint64_t admitted = 0;    ///< jobs released past admission control
   std::uint64_t completed = 0;   ///< admitted jobs that finished
@@ -227,19 +229,23 @@ struct SimResult {
   SimStats stats;
 };
 
-/// Runs `policy` over `instance` until every admitted job completes.
-/// Throws std::runtime_error on policy stalls (every live job left
-/// unallocated with no pending event), when the explicit event cap is hit,
-/// or when the progress watchdog trips.
+/// Runs `policy` over `instance` until every admitted job completes. The
+/// jobs arrive in (release, id) order through an InstanceArrivalStream, so
+/// this is simulate_stream over that stream, with policy.reset() given the
+/// full instance. Throws std::invalid_argument on an invalid instance, and
+/// std::runtime_error on policy stalls (every live job left unallocated
+/// with no pending event), when the explicit event cap is hit, or when the
+/// progress watchdog trips.
 [[nodiscard]] SimResult simulate(const Instance& instance, Policy& policy,
                                  const EngineConfig& config = {});
 
 /// Streaming run: jobs arrive from `arrivals` over the platform and outage
 /// calendar of `base`, whose own job list must be empty. Completed jobs
 /// retire (their per-job state is recycled) so memory is O(peak_live), not
-/// O(total jobs), once record_schedule / record_completions are off. With
-/// admission disabled the run is bit-identical to simulate() over the
-/// materialized instance (tests/test_streaming.cpp pins this).
+/// O(total jobs), once record_schedule / record_completions are off. Over
+/// an InstanceArrivalStream the run is bit-identical to simulate() over
+/// the instance, admission control included (tests/test_streaming.cpp
+/// pins this).
 [[nodiscard]] SimResult simulate_stream(const Instance& base,
                                         ArrivalStream& arrivals,
                                         Policy& policy,

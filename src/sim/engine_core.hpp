@@ -9,6 +9,14 @@
 // steady-state allocations per replication. simulate() uses a throwaway
 // core; BatchEngine keeps one per world slot.
 //
+// There is one arrival and slot path. Every run is an arrival stream: the
+// caller's (simulate_stream) or the core's own InstanceArrivalStream over
+// the instance's jobs (simulate, BatchEngine). Admitted jobs take a
+// recycled state slot, an IdMap translates id -> slot, and completed jobs
+// retire one round after their completion event, so per-job state is
+// O(peak_live) in every run. Hot loops never hash: the live list carries
+// each live job's slot, and policies read it through SimView::live_slots().
+//
 // A decision round pays for what changed, not for what is live: the
 // id-sorted live list is merged and compacted from the round's admissions
 // and departures (sync_live_list), each directive's slot is looked up once
@@ -32,13 +40,12 @@
 #include "core/schedule.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/arrivals.hpp"
 #include "sim/engine.hpp"
 #include "sim/policy.hpp"
 #include "sim/soa.hpp"
 
 namespace ecs {
-
-class ArrivalStream;
 
 namespace detail {
 
@@ -52,7 +59,7 @@ struct EngineInstruments {
   Id elided_rounds;           ///< decision rounds skipped via ElisionContract
   Id queue_depth;             ///< gauge; its max mirrors max_queue_depth
   Id peak_live;               ///< gauge; live-set high-water mark
-  Id peak_tracked;            ///< gauge; id-map high-water mark (streaming)
+  Id peak_tracked;            ///< gauge; id-map high-water mark
   Id stretch, queue_wait;     ///< histograms
   Id phase_policy, phase_allocate, phase_activate, phase_faults;  ///< timers
 
@@ -166,12 +173,12 @@ class EngineCore {
   EngineCore& operator=(const EngineCore&) = delete;
 
   /// Binds the core to one run and resets every piece of run state (buffer
-  /// capacity survives). Materialized mode: all jobs come from `instance`,
-  /// slot == job id. Streaming mode (stream != nullptr): `instance` carries
-  /// the platform and outage calendar only; jobs arrive from the stream and
-  /// completed jobs retire, so per-job state is O(peak_live). The caller is
-  /// responsible for policy.reset() — simulate() and BatchEngine both call
-  /// it immediately before prepare(), preserving the historical order.
+  /// capacity survives). With `stream` null the jobs of `instance` arrive
+  /// through the core's own InstanceArrivalStream; otherwise they come from
+  /// `stream` and `instance` must carry the platform and outage calendar
+  /// only. The caller is responsible for policy.reset() — simulate() and
+  /// BatchEngine both call it immediately before prepare(), with the full
+  /// instance.
   void prepare(const Instance& instance, ArrivalStream* stream,
                Policy& policy, const EngineConfig& config);
 
@@ -180,9 +187,7 @@ class EngineCore {
   bool step_rounds(std::uint64_t rounds);
 
   [[nodiscard]] bool done() const noexcept {
-    if (!prepared_) return true;
-    return streaming_ ? remaining_jobs_ <= 0 && !pending_.has_value()
-                      : remaining_jobs_ <= 0;
+    return !prepared_ || (remaining_jobs_ <= 0 && !pending_.has_value());
   }
 
   /// Harvests the run into `out` (reusing its buffer capacity where
@@ -204,18 +209,6 @@ class EngineCore {
  private:
   void init();
 
-  /// id -> state slot. Identity (bounds-checked) outside streaming; the
-  /// open-addressing id map under streaming. Inline: this sits on the
-  /// arbitration inner loop, several calls per granted activity per round.
-  [[nodiscard]] std::int32_t find_slot(JobId id) const noexcept {
-    if (!streaming_) {
-      return id >= 0 && id < static_cast<JobId>(pool_.size())
-                 ? static_cast<std::int32_t>(id)
-                 : kSlotRetired;
-    }
-    return id_map_.find(id);
-  }
-
   void advance_stream();
   [[nodiscard]] Time next_activity_end() const;
   void fire_releases();
@@ -228,8 +221,9 @@ class EngineCore {
   void shed_infeasible(double limit);
   bool shed_most_hopeless();
   void reject(const Job& job);
-  void shed(JobId id, ReasonCode reason);
+  void shed(const soa::LiveIndex::Entry& victim, ReasonCode reason);
   void retire_slot(std::int32_t slot);
+  JobSchedule& runs_of(JobId id);
   void flush_retired();
   void trace_close_span(std::int32_t slot);
   void trace_instant(obs::TracePoint point, std::int32_t slot, int cloud,
@@ -257,16 +251,14 @@ class EngineCore {
   Policy* policy_ = nullptr;
   EngineConfig config_;
   BusyMap busy_;
-  ArrivalStream* stream_ = nullptr;  ///< null in materialized mode
-  bool streaming_ = false;
+  ArrivalStream* stream_ = nullptr;  ///< the run's arrivals
+  /// simulate()'s arrivals: the instance's jobs, rebound per run.
+  InstanceArrivalStream instance_stream_;
   bool prepared_ = false;
   bool record_schedule_ = true;  ///< cached config flag; gates the recorders
 
   soa::StatePool pool_;  ///< SoA per-slot state + AoS read cache
   std::vector<ActivityRecorder> recorders_;
-  std::vector<std::pair<JobId, RunRecord>> abandoned_runs_;
-  std::vector<JobId> release_order_;
-  std::size_t next_release_ = 0;
   std::vector<Time> boundaries_;  ///< sorted outage begin/end wake-ups
   std::size_t next_boundary_ = 0;
   std::vector<FaultWake> wakes_;  ///< sorted fault-timeline wake-ups
@@ -293,7 +285,8 @@ class EngineCore {
   bool live_erased_ = false;  ///< a completion or shed since the last sync
   std::vector<std::uint32_t> seen_round_;     ///< round stamp per slot
   std::uint32_t round_ = 0;
-  std::vector<JobId> victims_;  ///< scratch for crash-abort / shed collection
+  /// Scratch for crash-abort / shed collection, sorted by id.
+  std::vector<soa::LiveIndex::Entry> victims_;
   /// Activities that finished this event, sorted by id before any event,
   /// trace record or retirement is issued for them.
   std::vector<soa::LiveIndex::Entry> fired_;
@@ -322,16 +315,21 @@ class EngineCore {
   void sync_live_list();
   [[nodiscard]] bool live_list_matches_index() const;
 
-  // --- streaming mode (engaged iff streaming_) ---
-  static constexpr std::int32_t kSlotRetired = -1;  ///< no state: id is done
+  // --- arrivals and slot recycling ---
   std::optional<Job> pending_;       ///< next arrival, not yet released
   Time last_arrival_ = -kTimeInfinity;
-  JobId next_id_ = 0;                ///< one past the largest id ever seen
-  soa::IdMap id_map_;                ///< id -> slot for tracked ids
+  /// One past the largest id the run can name: the instance's job count
+  /// under simulate(), the largest id seen so far under a caller's stream.
+  JobId next_id_ = 0;
+  /// id -> slot for tracked ids; probed once per directive (loops over
+  /// the live set read the slot the live list carries).
+  soa::IdMap id_map_;
   std::vector<std::int32_t> free_slots_;    ///< recycled state slots
   std::vector<std::int32_t> retire_queue_;  ///< completed, one round grace
-  std::vector<std::pair<JobId, Time>> completion_log_;
-  std::vector<std::pair<JobId, RunRecord>> final_runs_;
+  // The run's results, by job id, filled as runs are abandoned and jobs
+  // retire; finish_into() hands them over whole.
+  std::vector<Time> completions_;  ///< -1 until the job completes
+  std::vector<JobSchedule> runs_;  ///< record_schedule only
 
   // --- admission control ---
   bool admission_on_ = false;

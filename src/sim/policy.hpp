@@ -58,26 +58,29 @@ struct Directive {
 /// cache. Hand-built views (tests, micro-benchmarks) fill a StatePool of
 /// their own.
 ///
-/// In the engine's streaming mode (simulate_stream) completed jobs retire
-/// and their state slots are recycled, so a job id is no longer an index
-/// into states(). slot(id) performs the translation; it is the identity
-/// when the view was built without a slot window (materialized runs and
-/// hand-made test views), so policies written against slot() behave
-/// identically in both modes. Per-job policy workspaces must be keyed by
-/// slot(id), never by id, to stay O(live) under streaming.
+/// The engine recycles state slots, so a job id is not an index into
+/// states(). Loops over the live set read live_slots() and gather with
+/// pool().fields(slot), with no lookup per job; slot(id) hashes, and is
+/// meant for event jobs and directive targets. A slot from live_slots()
+/// stays valid until the next release event: slots are reused only at
+/// admission. Per-job policy workspaces are keyed by slot, never by id, to
+/// stay O(live). Hand-made views have no id map: slot == id.
 class SimView {
  public:
   /// `live_sorted`, when provided (the engine always does), is the list of
   /// released, unfinished job ids sorted ascending — it lets live_jobs()
-  /// answer in O(live) instead of scanning every job state.
-  /// `id_map` (streaming engine only) translates a job id to its state
-  /// slot; ids absent from the map are retired/rejected and have no state.
+  /// answer in O(live) instead of scanning every job state — and
+  /// `live_slots` the state slot of each of its entries. `id_map`
+  /// translates a job id to its state slot; ids absent from the map are
+  /// retired, rejected or not yet released and have no state.
   SimView(const Instance& instance, const soa::StatePool& pool, Time now,
           const std::vector<JobId>* live_sorted = nullptr,
+          const std::vector<std::int32_t>* live_slots = nullptr,
           const soa::IdMap* id_map = nullptr)
       : instance_(&instance),
         pool_(&pool),
         live_sorted_(live_sorted),
+        live_slots_(live_slots),
         id_map_(id_map),
         now_(now) {}
 
@@ -105,7 +108,7 @@ class SimView {
   }
 
   /// Index of `id`'s state in states(). Identity without an id map;
-  /// negative when the job is retired, rejected or unknown (streaming).
+  /// negative when the job is retired, rejected or not yet released.
   /// Always >= 0 for live ids and for the jobs of the current event batch.
   [[nodiscard]] std::int32_t slot(JobId id) const noexcept {
     if (id_map_ == nullptr) return static_cast<std::int32_t>(id);
@@ -120,10 +123,11 @@ class SimView {
     return pool_->materialize(s);
   }
 
-  /// The policy-facing fields of `id`, gathered by value — the hot read
-  /// path: touches only the needed SoA arrays and never writes a cache
-  /// entry. `id` must be live or belong to the current event batch (the
-  /// slot() >= 0 contract above).
+  /// The policy-facing fields of `id`, gathered by value: touches only the
+  /// needed SoA arrays and never writes a cache entry. `id` must be live or
+  /// belong to the current event batch (the slot() >= 0 contract above).
+  /// Costs one slot(id) lookup; loops over the live set should gather with
+  /// pool().fields(slot) from live_slots() instead.
   [[nodiscard]] JobFields fields(JobId id) const {
     const std::int32_t s = slot(id);
     assert(s >= 0 && static_cast<std::size_t>(s) < pool_->size());
@@ -148,11 +152,22 @@ class SimView {
     return fallback_live_;
   }
 
+  /// The state slot of each live_jobs() entry, in the same order: the
+  /// policies' per-live-job read path (pool().fields(live_slots()[i])).
+  /// Aliases the engine's list like live_jobs(); a hand-made view has no
+  /// id map, so its slots are its live ids.
+  [[nodiscard]] std::span<const std::int32_t> live_slots() const {
+    if (live_slots_ != nullptr) return *live_slots_;
+    assert(id_map_ == nullptr);
+    return live_jobs();
+  }
+
  private:
   const Instance* instance_;
   const soa::StatePool* pool_;
   const std::vector<JobId>* live_sorted_ = nullptr;
-  const soa::IdMap* id_map_ = nullptr;  ///< streaming id -> slot map
+  const std::vector<std::int32_t>* live_slots_ = nullptr;
+  const soa::IdMap* id_map_ = nullptr;
   mutable std::vector<JobId> fallback_live_;  ///< lazy; null live_sorted_ only
   mutable bool fallback_built_ = false;
   Time now_;

@@ -18,17 +18,18 @@
 //                  swap-erase plus a slot -> dense-position table. Erasure
 //                  needs no id -> slot lookup because the dense entries
 //                  carry both.
-//  * IdMap       - open-addressing id -> slot hash map for the streaming
-//                  engine. Replaces the dense id window, whose storage grew
-//                  with the *span* of in-flight ids (unbounded when one old
-//                  job stays live while later ids churn); the map's
-//                  capacity tracks the *count* of tracked ids, so streaming
+//  * IdMap       - open-addressing id -> slot hash map of the engine.
+//                  Replaces the dense id window, whose storage grew with
+//                  the *span* of in-flight ids (unbounded when one old job
+//                  stays live while later ids churn); the map's capacity
+//                  tracks the *count* of tracked ids, so the engine's
 //                  memory is O(peak_live) under any completion order.
 //
 // All three are deterministic: iteration order of LiveIndex depends only on
 // the insert/erase sequence, and IdMap is only ever probed point-wise.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstddef>
@@ -37,7 +38,6 @@
 #include "core/job.hpp"
 #include "core/time.hpp"
 #include "sim/state.hpp"
-#include "util/rng.hpp"
 
 namespace ecs::soa {
 
@@ -69,7 +69,7 @@ class StatePool {
     invalidate_view();
   }
 
-  /// Appends one default slot (streaming growth); returns its index.
+  /// Appends one default slot (slot growth); returns its index.
   std::int32_t grow() {
     const std::int32_t slot = static_cast<std::int32_t>(job_.size());
     job_.emplace_back();
@@ -342,7 +342,7 @@ class LiveIndex {
     pos_.assign(slots, -1);
   }
 
-  /// Tracks one more state slot (streaming growth).
+  /// Tracks one more state slot (slot growth).
   void grow() { pos_.push_back(-1); }
 
   void insert(JobId id, std::int32_t slot) {
@@ -377,20 +377,19 @@ class LiveIndex {
 };
 
 /// Open-addressing id -> slot hash map (linear probing, power-of-two
-/// capacity, SplitMix64-mixed keys, backward-shift deletion — no
+/// capacity, Fibonacci-hashed keys, backward-shift deletion — no
 /// tombstones, so lookup cost stays O(1) under sustained insert/erase
 /// churn). Capacity grows with the number of *simultaneously tracked* ids
-/// and never with their numeric span, which is the streaming engine's
-/// O(peak_live) memory bound.
+/// and never with their numeric span, which is the engine's O(peak_live)
+/// memory bound.
 class IdMap {
  public:
-  /// find() result when the id is not tracked. Matches the engine's
-  /// kSlotRetired sentinel: absent ids are retired, rejected or unseen.
+  /// find() result when the id is not tracked: in the engine, a retired,
+  /// rejected or not yet released job.
   static constexpr std::int32_t kAbsent = -1;
 
   void clear() {
-    keys_.assign(keys_.empty() ? kMinCapacity : keys_.size(), kEmptyKey);
-    slots_.assign(keys_.size(), kAbsent);
+    size_buckets(keys_.empty() ? kMinCapacity : keys_.size());
     size_ = 0;
   }
 
@@ -458,17 +457,23 @@ class IdMap {
   static constexpr std::size_t kMinCapacity = 16;
 
   [[nodiscard]] std::size_t mask() const noexcept { return keys_.size() - 1; }
+  /// Fibonacci hashing: the top bits of id * 2^64/phi. One inline
+  /// multiply; consecutive and strided ids alike spread evenly.
   [[nodiscard]] std::size_t index_of(JobId id) const noexcept {
     return static_cast<std::size_t>(
-               mix64(static_cast<std::uint64_t>(id))) &
-           mask();
+        (static_cast<std::uint64_t>(id) * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  void size_buckets(std::size_t capacity) {
+    keys_.assign(capacity, kEmptyKey);
+    slots_.assign(capacity, kAbsent);
+    shift_ = 64 - std::countr_zero(capacity);
   }
 
   void rehash(std::size_t new_capacity) {
     std::vector<JobId> old_keys = std::move(keys_);
     std::vector<std::int32_t> old_slots = std::move(slots_);
-    keys_.assign(new_capacity, kEmptyKey);
-    slots_.assign(new_capacity, kAbsent);
+    size_buckets(new_capacity);
     size_ = 0;
     for (std::size_t i = 0; i < old_keys.size(); ++i) {
       if (old_keys[i] != kEmptyKey) insert(old_keys[i], old_slots[i]);
@@ -478,6 +483,7 @@ class IdMap {
   std::vector<JobId> keys_;           ///< kEmptyKey marks an empty bucket
   std::vector<std::int32_t> slots_;
   std::size_t size_ = 0;
+  int shift_ = 64;  ///< 64 - log2(capacity)
 };
 
 }  // namespace ecs::soa

@@ -12,7 +12,10 @@
 // Only the Policy entry point was adapted (the optimized interface passes
 // an output buffer); each reference decide() still builds a fresh local
 // vector exactly like the original and copies it out, preserving the old
-// allocation behavior.
+// allocation behavior. The references index states() by job id, so
+// make_reference_policy() hands them, through IdIndexedView, the
+// one-state-per-id view they were written against; the engine itself
+// recycles state slots.
 #pragma once
 
 #include <algorithm>
@@ -138,7 +141,7 @@ class FcfsPolicy final : public Policy {
     std::vector<OrderedJob> order;
     for (const JobState& s : view.states()) {
       if (!s.live()) continue;
-      order.push_back(OrderedJob{s.job.id, s.job.release});
+      order.push_back(OrderedJob{.id = s.job.id, .key = s.job.release});
     }
     sort_ordered(order);
     std::vector<Directive> directives =
@@ -331,7 +334,8 @@ class SsfEdfPolicy final : public Policy {
     std::vector<OrderedJob> order;
     for (const JobState& s : view.states()) {
       if (!s.live()) continue;
-      order.push_back(OrderedJob{s.job.id, deadlines_[s.job.id]});
+      order.push_back(
+          OrderedJob{.id = s.job.id, .key = deadlines_[s.job.id]});
     }
     sort_ordered(order);
     std::vector<Directive> directives =
@@ -347,8 +351,8 @@ class SsfEdfPolicy final : public Policy {
     std::vector<OrderedJob> entries;
     for (const JobState& s : view.states()) {
       if (!s.live()) continue;
-      entries.push_back(
-          OrderedJob{s.job.id, s.job.release + stretch * s.best_time});
+      entries.push_back(OrderedJob{
+          .id = s.job.id, .key = s.job.release + stretch * s.best_time});
     }
     sort_ordered(entries);
 
@@ -624,15 +628,95 @@ class FailoverPolicy final : public Policy {
   std::vector<char> down_;
 };
 
-/// Mirror of make_policy() for the frozen reference implementations.
-/// Covers every name the equivalence suite and the policy micro-benchmark
-/// exercise.
-inline std::unique_ptr<Policy> make_reference_policy(
-    const std::string& name) {
+/// Serves a reference the view it was written against: one state per job
+/// id, states()[id] holding job id, scanned in id order. Keeps an
+/// id-indexed copy of the engine's state pool — unreleased jobs at their
+/// initial state, retired jobs at the last state a decision round showed,
+/// shed jobs unreleased again — and decides over a hand-made view of it.
+/// O(n) per decide(), like the full-state scans the references make.
+class IdIndexedView final : public Policy {
+ public:
+  explicit IdIndexedView(std::unique_ptr<Policy> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] ElisionContract elision() const override {
+    return inner_->elision();
+  }
+
+  void reset(const Instance& instance) override {
+    by_id_.reset(instance.jobs.size());
+    for (const Job& job : instance.jobs) {
+      by_id_.job(job.id) = job;
+      by_id_.best_time(job.id) = instance.platform.best_time(job);
+    }
+    was_live_.clear();
+    inner_->reset(instance);
+  }
+
+  void decide(const SimView& view, const std::vector<Event>& events,
+              std::vector<Directive>& out) override {
+    // A hand-made view (or a run that never recycled a slot) is already
+    // indexed by id: pass it through, at the cost the references had.
+    if (indexed_by_id(view)) {
+      inner_->decide(view, events, out);
+      return;
+    }
+    // A job that was live and now holds no slot left without completing:
+    // admission control shed it, which unreleases it.
+    for (const JobId id : was_live_) {
+      if (view.slot(id) < 0) by_id_.released(id) = 0;
+    }
+    const soa::StatePool& pool = view.pool();
+    for (std::int32_t s = 0; s < static_cast<std::int32_t>(pool.size());
+         ++s) {
+      const JobId id = pool.job(s).id;
+      if (id < 0 || view.slot(id) != s) continue;  // a free slot
+      const JobState& st = pool.materialize(s);
+      by_id_.alloc(id) = st.alloc;
+      by_id_.rem_up(id) = st.rem_up;
+      by_id_.rem_work(id) = st.rem_work;
+      by_id_.rem_down(id) = st.rem_down;
+      by_id_.active(id) = st.active;
+      by_id_.rate(id) = st.rate;
+      by_id_.last_update(id) = st.last_update;
+      by_id_.was_active(id) = st.was_active ? 1 : 0;
+      by_id_.released(id) = st.released ? 1 : 0;
+      by_id_.done(id) = st.done ? 1 : 0;
+      by_id_.completion(id) = st.completion;
+      by_id_.reassignments(id) = st.reassignments;
+    }
+    by_id_.invalidate_view();
+    const std::span<const JobId> live = view.live_jobs();
+    was_live_.assign(live.begin(), live.end());
+    const SimView by_id(view.instance(), by_id_, view.now());
+    inner_->decide(by_id, events, out);
+  }
+
+ private:
+  /// Slot s holds job s for every job of the instance. Once true in a
+  /// run it stays true: every job is admitted, so no slot is recycled.
+  static bool indexed_by_id(const SimView& view) {
+    const soa::StatePool& pool = view.pool();
+    if (pool.size() != view.instance().jobs.size()) return false;
+    for (std::int32_t s = 0; s < static_cast<std::int32_t>(pool.size());
+         ++s) {
+      if (pool.job(s).id != s) return false;
+    }
+    return true;
+  }
+
+  std::unique_ptr<Policy> inner_;
+  soa::StatePool by_id_;
+  std::vector<JobId> was_live_;
+};
+
+/// The frozen implementation behind `name`, seeing the engine's view.
+inline std::unique_ptr<Policy> make_frozen_policy(const std::string& name) {
   for (const char* prefix : {"failover-", "failover:"}) {
     if (name.rfind(prefix, 0) == 0) {
       return std::make_unique<FailoverPolicy>(
-          make_reference_policy(name.substr(std::string(prefix).size())));
+          make_frozen_policy(name.substr(std::string(prefix).size())));
     }
   }
   if (name == "edge-only") return std::make_unique<EdgeOnlyPolicy>();
@@ -646,6 +730,14 @@ inline std::unique_ptr<Policy> make_reference_policy(
   if (name == "ssf-edf") return std::make_unique<SsfEdfPolicy>();
   if (name == "fcfs") return std::make_unique<FcfsPolicy>();
   throw std::invalid_argument("unknown reference policy: " + name);
+}
+
+/// Mirror of make_policy() for the frozen reference implementations.
+/// Covers every name the equivalence suite and the policy micro-benchmark
+/// exercise.
+inline std::unique_ptr<Policy> make_reference_policy(
+    const std::string& name) {
+  return std::make_unique<IdIndexedView>(make_frozen_policy(name));
 }
 
 }  // namespace ref

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "core/metrics.hpp"
 #include "core/validate.hpp"
 #include "obs/metrics.hpp"
@@ -128,6 +131,13 @@ TEST(Engine, ComputeOverlapsCommunication) {
   EXPECT_NEAR(result.completions[1], 5.0, 1e-9);
 }
 
+/// True when job `id` is released and unfinished. Jobs not yet released
+/// and retired jobs hold no state slot, so ask the live list.
+bool is_live(const SimView& view, JobId id) {
+  const std::span<const JobId> live = view.live_jobs();
+  return std::binary_search(live.begin(), live.end(), id);
+}
+
 // Policy that moves its single job from the edge to the cloud at t >= 2
 // (first event after), exercising the re-execution rule.
 class SwitchPolicy final : public Policy {
@@ -136,7 +146,7 @@ class SwitchPolicy final : public Policy {
   void decide(const SimView& view, const std::vector<Event>& events,
               std::vector<Directive>& out) override {
     (void)events;
-    if (!view.state(0).live()) return;
+    if (!is_live(view, 0)) return;
     const int target = view.now() >= 2.0 ? 0 : kAllocEdge;
     out.push_back(Directive{0, target, 0.0});
   }
@@ -155,11 +165,11 @@ TEST(Engine, ReexecutionDiscardsProgress) {
     void decide(const SimView& view, const std::vector<Event>& events,
                 std::vector<Directive>& out) override {
       (void)events;
-      if (view.state(0).live()) {
+      if (is_live(view, 0)) {
         out.push_back(
             Directive{0, view.now() >= 2.0 ? 0 : kAllocEdge, 0.0});
       }
-      if (view.state(1).live()) {
+      if (is_live(view, 1)) {
         out.push_back(Directive{1, kAllocEdge, 1.0});
       }
     }
@@ -194,9 +204,9 @@ TEST(Engine, WorkConservationRunsUnselectedAllocatedJobs) {
     void decide(const SimView& view, const std::vector<Event>& events,
                 std::vector<Directive>& out) override {
       (void)events;
-      if (view.state(0).live()) out.push_back(Directive{0, kAllocEdge, 0.0});
+      if (is_live(view, 0)) out.push_back(Directive{0, kAllocEdge, 0.0});
       if (first_) {
-        if (view.state(1).live()) {
+        if (is_live(view, 1)) {
           out.push_back(Directive{1, kAllocEdge, 1.0});
         }
         first_ = false;
@@ -259,8 +269,8 @@ TEST(Engine, EventCapStopsThrashingPolicies) {
     void decide(const SimView& view, const std::vector<Event>& events,
                 std::vector<Directive>& out) override {
       (void)events;
-      if (view.state(0).live()) out.push_back(Directive{0, flip_, 0.0});
-      if (view.state(1).live()) out.push_back(Directive{1, kAllocEdge, 1.0});
+      if (is_live(view, 0)) out.push_back(Directive{0, flip_, 0.0});
+      if (is_live(view, 1)) out.push_back(Directive{1, kAllocEdge, 1.0});
       flip_ = 1 - flip_;
     }
 

@@ -107,7 +107,7 @@ TEST(ListAssign, OnlyImmediateStartersGetExplicitTargets) {
   const soa::StatePool pool = pool_of(states);
   const SimView view(instance, pool, 0.0);
   const std::vector<Directive> directives = list_assign_directives(
-      view, {{0, 1.0}, {1, 2.0}, {2, 3.0}});
+      view, {{0, 0, 1.0}, {1, 1, 2.0}, {2, 2, 3.0}});
   ASSERT_EQ(directives.size(), 3u);
   EXPECT_EQ(directives[0].job, 0);
   EXPECT_EQ(directives[0].target, 0);  // starts uplink now
@@ -179,13 +179,14 @@ void expect_list_assign_matches_reference(
   expect_same_directives(replayed, want);
 }
 
-/// The live set of a scenario in a scrambled but deterministic order.
+/// The live set of a scenario in a scrambled but deterministic order. The
+/// scenarios' views are hand-made, so each job's slot is its id.
 std::vector<OrderedJob> scrambled_order(const std::vector<JobId>& live,
                                         std::uint32_t seed) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> key(0.0, 1.0);
   std::vector<OrderedJob> order;
-  for (const JobId id : live) order.push_back(OrderedJob{id, key(rng)});
+  for (const JobId id : live) order.push_back(OrderedJob{id, id, key(rng)});
   sort_ordered(order);
   return order;
 }

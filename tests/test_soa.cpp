@@ -1,5 +1,5 @@
 // Tests for the SoA state-pool building blocks (sim/soa.hpp). The IdMap is
-// the streaming engine's O(peak_live) memory claim made concrete: its
+// the engine's O(peak_live) memory claim made concrete: its
 // capacity must track the number of SIMULTANEOUSLY live ids, never their
 // numeric span — the old dense window map grew with (max id - min live id),
 // which a single long-running job under churn blows up to O(n). The fuzz
@@ -112,7 +112,7 @@ TEST(IdMap, CapacityTracksLiveCountNotIdSpan) {
 
 TEST(IdMap, AdversarialColliderIdsStillBehave) {
   // Ids a power-of-two stride apart defeat a masked identity hash; the
-  // SplitMix64 mix must spread them. Correctness (not speed) is what the
+  // Fibonacci hash must spread them. Correctness (not speed) is what the
   // oracle checks here — every probe chain with collisions still resolves.
   soa::IdMap map;
   std::unordered_map<JobId, std::int32_t> oracle;

@@ -1,10 +1,10 @@
-// Streaming-engine suite: simulate_stream with admission disabled must be
-// BIT-IDENTICAL to simulate over the materialized instance — completions,
-// stats, schedules, fault logs and trace streams — across policies x seeds
-// x fault plans. On top of that: admission-control semantics (caps hold,
-// refused jobs leave no recorded activity, validator and online watchdog
-// stay green) and a 1M-job overload soak proving the working set stays
-// flat at the admission cap.
+// Streaming-engine suite: simulate_stream over an InstanceArrivalStream
+// must be BIT-IDENTICAL to simulate over the instance — completions, stats,
+// schedules, fault and admission logs and trace streams — across policies
+// x seeds x fault plans x admission rules. On top of that:
+// admission-control semantics (caps hold, refused jobs leave no recorded
+// activity, validator and online watchdog stay green) and a 1M-job
+// overload soak proving the working set stays flat at the admission cap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,10 +45,12 @@ struct Variant {
 
 Variant run_materialized(const Instance& instance,
                          const std::string& policy_name,
-                         const FaultPlan& faults) {
+                         const FaultPlan& faults,
+                         const AdmissionConfig& admission = {}) {
   const auto policy = make_policy(policy_name);
   EngineConfig config;
   config.faults = faults;
+  config.admission = admission;
   obs::MemoryTraceSink sink;
   config.trace = &sink;
   Variant v;
@@ -107,6 +109,18 @@ void expect_same_results(const Variant& stream, const Variant& mat) {
   EXPECT_EQ(a.rejections, b.rejections);
   EXPECT_EQ(a.sheds, b.sheds);
   EXPECT_EQ(a.max_stretch, b.max_stretch);
+
+  // Admission logs: the same refusals, in the same order.
+  ASSERT_EQ(stream.result.admission_log.size(),
+            mat.result.admission_log.size());
+  for (std::size_t i = 0; i < mat.result.admission_log.size(); ++i) {
+    const AdmissionRecord& x = stream.result.admission_log[i];
+    const AdmissionRecord& y = mat.result.admission_log[i];
+    EXPECT_EQ(x.job, y.job) << "record " << i;
+    EXPECT_EQ(x.time, y.time) << "record " << i;
+    EXPECT_EQ(x.reason, y.reason) << "record " << i;
+    EXPECT_EQ(x.shed, y.shed) << "record " << i;
+  }
 
   // Fault logs: same realized fault trace.
   ASSERT_EQ(stream.result.fault_log.size(), mat.result.fault_log.size());
@@ -172,30 +186,102 @@ Instance equivalence_instance(int seed, FaultPlan* faults) {
   return instance;
 }
 
+/// The admission cases: off (kAdmissionOff), then each rule with the cap
+/// it acts on — refusing the newest arrival at a live cap, evicting the
+/// most hopeless resident at a live cap, and shedding deadline-infeasible
+/// residents plus a queue cap.
+constexpr int kAdmissionOff = -1;
+constexpr const char* kAdmissionCaseNames[] = {
+    "reject_newest", "reject_hopeless", "shed_infeasible"};
+
+AdmissionConfig admission_case(int rule) {
+  AdmissionConfig admission;
+  switch (rule) {
+    case kAdmissionOff:
+      break;
+    case 0:
+      admission.rule = AdmissionRule::kRejectNewest;
+      admission.max_live = 10;
+      break;
+    case 1:
+      admission.rule = AdmissionRule::kRejectHopeless;
+      admission.max_live = 8;
+      break;
+    default:
+      admission.rule = AdmissionRule::kShedInfeasible;
+      admission.stretch_limit = 4.0;
+      admission.max_queue = 6;
+      break;
+  }
+  return admission;
+}
+
+/// equivalence_instance's platform, outages and faults with a job list
+/// oversubscribed enough that every admission rule refuses work.
+Instance admission_instance(int seed, FaultPlan* faults) {
+  Instance instance = equivalence_instance(seed, faults);
+  RandomInstanceConfig cfg;
+  cfg.n = 150;
+  cfg.cloud_count = 3;
+  cfg.slow_edges = 2;
+  cfg.fast_edges = 2;
+  cfg.load = 3.0;
+  cfg.ccr = seed % 3 == 0 ? 5.0 : 1.0;
+  Rng rng(7500 + seed);
+  instance.jobs = make_random_instance(cfg, rng).jobs;
+  return instance;
+}
+
+/// (policy, seed, admission case). simulate() and simulate_stream over an
+/// InstanceArrivalStream are one API contract: with admission on they must
+/// also refuse the same jobs at the same instants.
 class StreamingEquivalence
-    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, int>> {};
 
 TEST_P(StreamingEquivalence, StreamMatchesMaterializedBitForBit) {
-  const auto& [policy_name, seed] = GetParam();
+  const auto& [policy_name, seed, rule] = GetParam();
   FaultPlan faults;
-  const Instance instance = equivalence_instance(seed, &faults);
-  const Variant mat = run_materialized(instance, policy_name, faults);
-  const Variant stream = run_streaming(instance, policy_name, faults);
+  const Instance instance = rule == kAdmissionOff
+                                ? equivalence_instance(seed, &faults)
+                                : admission_instance(seed, &faults);
+  const AdmissionConfig admission = admission_case(rule);
+  const Variant mat = run_materialized(instance, policy_name, faults,
+                                       admission);
+  const Variant stream = run_streaming(instance, policy_name, faults,
+                                       admission);
+  if (rule != kAdmissionOff) {
+    EXPECT_GT(mat.result.stats.rejections + mat.result.stats.sheds, 0U);
+  }
   expect_same_results(stream, mat);
+}
+
+std::string equivalence_case_name(
+    const ::testing::TestParamInfo<std::tuple<std::string, int, int>>& info) {
+  std::string name = std::get<0>(info.param);
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  const int rule = std::get<2>(info.param);
+  if (rule != kAdmissionOff) {
+    name += std::string("_") + kAdmissionCaseNames[rule];
+  }
+  return name + "_seed" + std::to_string(std::get<1>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PoliciesBySeeds, StreamingEquivalence,
     ::testing::Combine(::testing::Values("edge-only", "greedy", "srpt",
                                          "ssf-edf", "fcfs", "failover-srpt"),
-                       ::testing::Range(0, 4)),
-    [](const auto& param_info) {
-      std::string name = std::get<0>(param_info.param);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name + "_seed" + std::to_string(std::get<1>(param_info.param));
-    });
+                       ::testing::Range(0, 4),
+                       ::testing::Values(kAdmissionOff)),
+    equivalence_case_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesByRulesBySeeds, StreamingEquivalence,
+    ::testing::Combine(::testing::Values("edge-only", "greedy", "srpt",
+                                         "ssf-edf", "fcfs", "failover-srpt"),
+                       ::testing::Range(0, 5), ::testing::Range(0, 3)),
+    equivalence_case_name);
 
 TEST(Streaming, SyntheticFamilyRunsAreDeterministic) {
   ArrivalConfig acfg;
@@ -327,9 +413,9 @@ TEST(Admission, RejectHopelessPrefersEvictingTheWorstResident) {
 }
 
 TEST(Admission, MaterializedEngineHonorsAdmissionToo) {
-  // Admission is a property of the engine, not of streaming: the
-  // materialized path applies the same caps.
-  const Instance instance = overload_instance();
+  // Admission is a property of the engine, not of the arrival source:
+  // simulate() over an instance applies the same caps.
+  const Instance instance = overload_instance(2000);
   AdmissionConfig admission;
   admission.max_live = 16;
   const auto policy = make_policy("srpt");
@@ -340,6 +426,10 @@ TEST(Admission, MaterializedEngineHonorsAdmissionToo) {
   EXPECT_GT(result.stats.rejections, 0u);
   EXPECT_EQ(result.stats.admitted + result.stats.rejections,
             static_cast<std::uint64_t>(instance.job_count()));
+  // simulate() recycles state slots too: the tracked set is the live set
+  // plus the completions awaiting retirement, never the instance.
+  EXPECT_GT(result.stats.peak_tracked, 0u);
+  EXPECT_LE(result.stats.peak_tracked, result.stats.peak_live + 2);
 }
 
 TEST(Admission, OnlineWatchdogStaysGreenWithRejections) {
@@ -525,7 +615,7 @@ class ReversedEdgePolicy final : public Policy {
 
 // Jobs 1 and 2 finish at t = 4 on different edges, job 2 granted first.
 // The completion batch the policy sees, and the trace's completion
-// instants, must still come in ascending id — in streaming mode too,
+// instants, must still come in ascending id — through both entry points,
 // where job 2 recycles job 0's slot and so sits in a lower slot than job 1.
 TEST(RoundBookkeeping, SimultaneousCompletionsFireInIdOrder) {
   Instance instance;
